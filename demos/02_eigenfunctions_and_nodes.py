@@ -11,6 +11,7 @@ import numpy as np
 
 from magpair import (
     CaseTag,
+    Sector,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -32,10 +33,11 @@ def poly_text(coeffs):
 def main():
     for n in range(1, 7):
         print(f"n = {n}, s = 0")
+        sector = Sector(n, 0)
         for p in secular_spectrum(n, 0, CASE):
             if not p.physical:
                 continue
-            pair = eigenfunction(n, 0, p)
+            pair = sector.pair(p)
             print(f"  j = {p.j}  lambda = {p.lam:12.8f}  nodes = {pair.nodes}"
                   f"  residual = {pair.residual:.1e}")
             print(f"      p(rho) = {poly_text(pair.polynomial.coeffs)}")

@@ -14,7 +14,7 @@ from .polyops import (DegenerateRootError, Polynomial, count_positive_roots,
 from .sl2rep import (CommutatorReport, OperatorOnPn, build_T_algebraic,
                      build_T_direct, commutator_check, jminus, jplus, jzero)
 from .qes import (EigenPair, IllConditionedError, NonNormalizableError,
-                  RadialSample, SpectralPoint, ZeroCouplingError,
+                  RadialSample, Sector, SpectralPoint, ZeroCouplingError,
                   assemble_wavefunction, dimensionless_energy, eigenfunction,
                   field_quantization, residual, secular_spectrum)
 from .catalog import (BranchComparison, CatalogComparison, ClosedFormAux,
@@ -39,7 +39,7 @@ __all__ = [
     "DerivedParams", "EigenPair", "IllConditionedError", "MatchReport",
     "MismatchError", "NonNormalizableError", "OperatorOnPn", "OracleResult",
     "OrderReport", "ParticularIntegralReport", "Polynomial", "RadialGrid",
-    "RadialSample", "SpectralPoint", "ZeroCouplingError",
+    "RadialSample", "Sector", "SpectralPoint", "ZeroCouplingError",
     "annihilation_check", "assemble_wavefunction", "build_T_algebraic",
     "build_T_direct", "build_annihilator", "casimir_identity_check",
     "catalog_polynomial", "classify", "closed_form_aux",

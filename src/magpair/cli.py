@@ -35,6 +35,7 @@ from .qes import (
     MAX_DEGREE,
     IllConditionedError,
     NonNormalizableError,
+    Sector,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -45,9 +46,6 @@ from .system import CaseTag, ChargePair, classify, derive
 __all__ = ["main"]
 
 _CASES = {"ec0": CaseTag.EQUAL_LARMOR, "q0": CaseTag.NEUTRAL}
-
-_SECTIONS = ("sl2", "tmatrix", "catalog", "symmetry", "nodes", "residuals",
-             "oracle", "casimir", "annihilator")
 
 
 class _UsageError(Exception):
@@ -166,11 +164,12 @@ def _cmd_spectrum(args) -> str:
         header.append("B")
     rows = []
     for n in ns:
+        sectors = {a: Sector(n, a) for a in sorted({abs(s) for s in ss})}
         for s in ss:
             cf = closed_form_lambdas(n, s) if n <= 8 else ()
             for p in secular_spectrum(n, s, case, dp):
                 try:
-                    nodes = eigenfunction(n, s, p).nodes
+                    nodes = sectors[abs(s)].pair(p).nodes
                 except (NonNormalizableError, DegenerateRootError):
                     nodes = None
                 lam_cf = delta = None
@@ -264,17 +263,7 @@ class Check:
 
 
 def _scope(defaults, chosen) -> list[int]:
-    if chosen is None:
-        return list(defaults)
-    keep = set(chosen)
-    return [v for v in defaults if v in keep]
-
-
-def _scope_abs(defaults, chosen) -> list[int]:
-    if chosen is None:
-        return list(defaults)
-    keep = {abs(v) for v in chosen}
-    return [v for v in defaults if v in keep]
+    return [v for v in defaults if chosen is None or v in chosen]
 
 
 def _checks_sl2(ns, ss) -> list[Check]:
@@ -286,7 +275,7 @@ def _checks_sl2(ns, ss) -> list[Check]:
 def _checks_tmatrix(ns, ss) -> list[Check]:
     worst = 0
     for n in _scope(range(17), ns):
-        for a in _scope_abs(range(9), ss):
+        for a in _scope(range(9), ss):
             d = build_T_direct(n, a).mat
             g = build_T_algebraic(n, a).mat
             worst = max(worst, int(np.max(np.abs(d - g))))
@@ -298,7 +287,7 @@ def _checks_catalog(ns, ss) -> list[Check]:
     lam_low = lam_high = coeff_low = canary = 0.0
     have_78 = have_8 = False
     for n in _scope(range(9), ns):
-        for s in _scope_abs(range(6), ss):
+        for s in _scope(range(6), ss):
             rep = compare_catalog_with_solver(n, s)
             for br in rep.branches:
                 if n <= 6:
@@ -329,7 +318,7 @@ def _checks_catalog(ns, ss) -> list[Check]:
 def _checks_symmetry(ns, ss) -> list[Check]:
     mirror = structure = coeff = bshare = 0.0
     for n in _scope(range(13), ns):
-        for s in _scope_abs(range(4), ss):
+        for s in _scope(range(4), ss):
             pts = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
             kap = np.sort([p.kappa for p in pts])
             mirror = max(mirror, float(np.max(np.abs(kap + kap[::-1]))))
@@ -341,13 +330,14 @@ def _checks_symmetry(ns, ss) -> list[Check]:
                 continue
             nu = {p.j: p for p in secular_spectrum(n, s, CaseTag.NEUTRAL)
                   if p.physical}
+            sector = Sector(n, s)
             for pe in pts:
                 if not pe.physical:
                     continue
                 pn = nu[pe.j]
                 bshare = max(bshare, abs(pn.b - pe.b), abs(pn.kappa + pe.kappa))
-                ce = eigenfunction(n, s, pe).polynomial
-                cn = eigenfunction(n, s, pn).polynomial
+                ce = sector.pair(pe).polynomial
+                cn = sector.pair(pn).polynomial
                 coeff = max(coeff, max(abs(x - y) for x, y in
                                        zip(parity_flip(ce).coeffs, cn.coeffs)))
     return [
@@ -364,10 +354,11 @@ def _checks_nodes(ns, ss) -> list[Check]:
     bad_ladder = bad_map = 0.0
     saw56 = False
     for n in _scope(range(9), ns):
-        for s in _scope_abs(range(3), ss):
+        for s in _scope(range(3), ss):
             pts = [p for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
                    if p.physical]
-            pairs = {p.j: eigenfunction(n, s, p) for p in pts}
+            sector = Sector(n, s)
+            pairs = {p.j: sector.pair(p) for p in pts}
             if n >= 1 and sorted(e.nodes for e in pairs.values()) \
                     != list(range((n - 1) // 2 + 1)):
                 bad_ladder += 1.0
@@ -393,11 +384,12 @@ def _checks_nodes(ns, ss) -> list[Check]:
 def _checks_residuals(ns, ss) -> list[Check]:
     solver = catalog = 0.0
     for n in _scope(range(13), ns):
-        for s in _scope_abs((0, 1, 2, 5), ss):
+        for s in _scope((0, 1, 2, 5), ss):
+            sector = Sector(n, s)
             for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
-                solver = max(solver, eigenfunction(n, s, p).residual)
+                solver = max(solver, sector.pair(p).residual)
     for n in _scope(range(1, 7), ns):
-        for s in _scope_abs(range(6), ss):
+        for s in _scope(range(6), ss):
             t = build_T_direct(n, s).mat[:n + 1, :n + 1]
             for j, lam in enumerate(closed_form_lambdas(n, s), start=1):
                 c = np.asarray(catalog_polynomial(n, s, j).coeffs)
@@ -410,7 +402,7 @@ def _checks_residuals(ns, ss) -> list[Check]:
 
 def _checks_oracle(ns, ss) -> list[Check]:
     ns = _scope(range(5), ns)
-    ss = _scope_abs(range(3), ss)
+    ss = _scope(range(3), ss)
     if not ns or not ss:
         return []
     err = nodes_bad = 0.0
@@ -438,7 +430,7 @@ def _checks_casimir(ns, ss) -> list[Check]:
     worst = deg_e = deg_k = 0.0
     for N in Ns:
         for S in range(-10, 11):
-            worst = max(worst, casimir_identity_check(CMState(N, S), dp))
+            worst = max(worst, abs(casimir_identity_check(CMState(N, S), dp)))
         e0 = cm_energy(CMState(N, 0), dp)
         k0 = pseudomomentum_sq(CMState(N, 0), dp.q, dp.B)
         for S in range(11):
@@ -455,7 +447,7 @@ def _checks_casimir(ns, ss) -> list[Check]:
 
 def _checks_annihilator(ns, ss) -> list[Check]:
     ns = _scope(range(11), ns)
-    ss = _scope_abs(range(6), ss)
+    ss = _scope(range(6), ss)
     minus = comm = 0.0
     plus = beyond = float("inf")
     for n in ns:
@@ -493,17 +485,17 @@ def _checks_annihilator(ns, ss) -> list[Check]:
     return out
 
 
-_CHECK_BUILDERS = (
-    ("sl2", _checks_sl2),
-    ("tmatrix", _checks_tmatrix),
-    ("catalog", _checks_catalog),
-    ("symmetry", _checks_symmetry),
-    ("nodes", _checks_nodes),
-    ("residuals", _checks_residuals),
-    ("oracle", _checks_oracle),
-    ("casimir", _checks_casimir),
-    ("annihilator", _checks_annihilator),
-)
+_CHECK_BUILDERS = {
+    "sl2": _checks_sl2,
+    "tmatrix": _checks_tmatrix,
+    "catalog": _checks_catalog,
+    "symmetry": _checks_symmetry,
+    "nodes": _checks_nodes,
+    "residuals": _checks_residuals,
+    "oracle": _checks_oracle,
+    "casimir": _checks_casimir,
+    "annihilator": _checks_annihilator,
+}
 
 
 def run_verification(ns: list[int] | None = None, ss: list[int] | None = None,
@@ -511,15 +503,14 @@ def run_verification(ns: list[int] | None = None, ss: list[int] | None = None,
                      tol: float | None = None) -> list[Check]:
     """Build and evaluate the ordered check list.
 
-    ns and ss restrict the sweeps of the sections they apply to; only
-    selects a single section; tol, when given, replaces every check's
-    tolerance (direction semantics unchanged).
+    ns and ss restrict the sweeps of the sections they apply to (ss by
+    |s|); only selects a single section; tol, when given, replaces every
+    check's tolerance (direction semantics unchanged).
     """
-    checks: list[Check] = []
-    for section, build in _CHECK_BUILDERS:
-        if only is not None and section != only:
-            continue
-        checks.extend(build(ns, ss))
+    if ss is not None:
+        ss = [abs(v) for v in ss]
+    checks = [c for section, build in _CHECK_BUILDERS.items()
+              if only in (None, section) for c in build(ns, ss)]
     if tol is not None:
         checks = [replace(c, tol=tol) for c in checks]
     return checks
@@ -585,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the verification suite")
     vf.add_argument("--n", default=None, help="restrict sweeps, int or a..b")
     vf.add_argument("--s", default=None, help="restrict sweeps, int or a..b")
-    vf.add_argument("--only", choices=_SECTIONS, default=None)
+    vf.add_argument("--only", choices=list(_CHECK_BUILDERS), default=None)
     vf.add_argument("--tol", type=float, default=None,
                     help="override every tolerance")
     _add_output(vf)

@@ -20,6 +20,7 @@ Spectral conventions used everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -34,6 +35,7 @@ __all__ = [
     "MAX_DEGREE",
     "NonNormalizableError",
     "RadialSample",
+    "Sector",
     "SpectralPoint",
     "ZeroCouplingError",
     "assemble_wavefunction",
@@ -88,12 +90,17 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Spectral point with its polynomial, node count, and backward error."""
+    """Spectral point with its polynomial, backward error and node count."""
 
     point: SpectralPoint
     polynomial: Polynomial
-    nodes: int
     residual: float
+
+    @cached_property
+    def nodes(self) -> int:
+        """Exact positive-root count, computed on first read (which may
+        raise DegenerateRootError)."""
+        return count_positive_roots(self.polynomial)
 
 
 @dataclass(frozen=True)
@@ -213,62 +220,61 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     return points
 
 
-def _coefficient_residual(c: np.ndarray, n: int, a: int, kappa: float) -> float:
+def _coefficient_residual(c: np.ndarray, t: np.ndarray, kappa: float) -> float:
     """Backward error max|T c + kappa c| / max|c| against the integer T."""
-    t = build_T_direct(n, a, dim=len(c)).mat
     r = t @ c + kappa * c
     return float(np.max(np.abs(r)) / np.max(np.abs(c)))
 
 
-def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
-    """Polynomial eigenfunction of a spectral point, normalized to p(0) = 1.
+class Sector:
+    """Every eigenpair of T(n, |s|) from one symmetric tridiagonal solve.
 
-    The eigenvector comes from the symmetric tridiagonal solve and is
-    rescaled back to monomial coefficients; its backward error against the
-    integer operator is recorded as `residual`.  Raises IllConditionedError
-    above RESIDUAL_LIMIT and NonNormalizableError if the rho^0 component
-    vanishes.  Node counting is exact and may raise DegenerateRootError.
+    Points of either sign of s and of either case share a sector.
     """
-    a = _validate_ns(n, s, MAX_DEGREE)
+
+    def __init__(self, n: int, s: int) -> None:
+        a = _validate_ns(n, s, MAX_DEGREE)
+        d, e, self.scale = _symmetrized(n, a)
+        self.mu, self.w = (eigh_tridiagonal(d, e) if n > 0
+                           else (np.zeros(1), np.ones((1, 1))))
+        self.t = build_T_direct(n, a).mat
+        self.n, self.a = n, a
+
+    def pair(self, point: SpectralPoint) -> EigenPair:
+        """Eigenpolynomial of one point, normalized to p(0) = 1, with its
+        backward error against the integer T.  Raises IllConditionedError
+        above RESIDUAL_LIMIT, NonNormalizableError without a rho^0 term.
+        """
+        if point.n != self.n or abs(point.s) != self.a:
+            raise ValueError("spectral point belongs to a different (n, |s|)")
+        mu = self.mu
+        i = int(np.argmin(np.abs(mu + point.kappa)))
+        if abs(mu[i] + point.kappa) > 1e-8 * max(1.0, float(np.max(np.abs(mu)))):
+            raise ValueError("kappa is not a coupling eigenvalue of T(n, |s|)")
+        v = self.scale * self.w[:, i]
+        if abs(v[0]) <= 1e-12 * float(np.max(np.abs(v))):
+            raise NonNormalizableError("eigenvector has no rho^0 component")
+        c = v / v[0]
+        res = _coefficient_residual(c, self.t, point.kappa)
+        if res > RESIDUAL_LIMIT:
+            raise IllConditionedError(
+                f"eigenvector residual {res:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+        poly = Polynomial(tuple(float(x) for x in c))
+        return EigenPair(point=point, polynomial=poly, residual=res)
+
+
+def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
+    """Polynomial eigenfunction of one spectral point; see Sector.pair."""
     if point.n != n or point.s != s:
         raise ValueError("spectral point belongs to a different (n, s)")
-    d, e, scale = _symmetrized(n, a)
-    if n > 0:
-        mu, w = eigh_tridiagonal(d, e)
-    else:
-        mu, w = np.zeros(1), np.ones((1, 1))
-    i = int(np.argmin(np.abs(mu + point.kappa)))
-    if abs(mu[i] + point.kappa) > 1e-8 * max(1.0, float(np.max(np.abs(mu)))):
-        raise ValueError("kappa is not a coupling eigenvalue of T(n, |s|)")
-    v = scale * w[:, i]
-    vmax = float(np.max(np.abs(v)))
-    if abs(v[0]) <= 1e-12 * vmax:
-        raise NonNormalizableError("eigenvector has no rho^0 component")
-    c = v / v[0]
-    res = _coefficient_residual(c, n, a, point.kappa)
-    if res > RESIDUAL_LIMIT:
-        raise IllConditionedError(
-            f"eigenvector residual {res:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-    poly = Polynomial(tuple(float(x) for x in c))
-    nodes = count_positive_roots(poly)
-    return EigenPair(point=point, polynomial=poly, nodes=nodes, residual=res)
+    return Sector(n, s).pair(point)
 
 
-def residual(pair: EigenPair, s: int | None = None,
-             case: CaseTag | None = None) -> float:
-    """Backward error of an eigenpair against the integer operator.
-
-    s and case default to the pair's own; when given they must agree.
-    The case changes nothing in the scaled equation (the two solvable
-    cases share it) and is accepted for interface symmetry only.
-    """
-    if s is not None and abs(s) != abs(pair.point.s):
-        raise ValueError("s disagrees with the pair")
-    if case is not None and case is not pair.point.case:
-        raise ValueError("case disagrees with the pair")
-    c = np.asarray(pair.polynomial.coeffs)
-    return _coefficient_residual(c, pair.point.n, abs(pair.point.s),
-                                 pair.point.kappa)
+def residual(pair: EigenPair) -> float:
+    """Backward error of an eigenpair against the integer operator."""
+    n, a = pair.point.n, abs(pair.point.s)
+    return _coefficient_residual(np.asarray(pair.polynomial.coeffs),
+                                 build_T_direct(n, a).mat, pair.point.kappa)
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:

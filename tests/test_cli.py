@@ -7,8 +7,10 @@ import math
 
 import pytest
 
-from magpair import cli
+from magpair import cli, qes
+from magpair.polyops import DegenerateRootError
 from magpair.qes import IllConditionedError
+from magpair.system import CaseTag
 
 SQ6 = math.sqrt(6.0)
 
@@ -122,6 +124,38 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     assert code == 3 and out == "" and "solver failure" in err
 
 
+def test_spectrum_solves_each_sector_once(capsys, monkeypatch):
+    # one eigenvalue-only solve for the spectrum, one vector solve for all
+    # seven eigenpairs
+    calls, real = [], qes.eigh_tridiagonal
+    monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
+        kw.get("eigvals_only", False)) or real(*a, **kw))
+    code, _, _ = run(capsys, "spectrum", "--n", "6", "--s", "1")
+    assert code == 0 and sorted(calls) == [False, True]
+
+
+def test_residuals_section_never_counts_nodes(capsys, monkeypatch):
+    monkeypatch.delattr(qes, "count_positive_roots")
+    code, out, _ = run(capsys, "verify", "--only", "residuals")
+    assert code == 0 and "FAIL" not in out
+
+
+def test_spectrum_blanks_only_the_degenerate_row(capsys, monkeypatch):
+    point = qes.secular_spectrum(3, 0, CaseTag.EQUAL_LARMOR)[1]
+    bad = qes.eigenfunction(3, 0, point).polynomial
+    real = qes.count_positive_roots
+
+    def count(p):
+        if p == bad:
+            raise DegenerateRootError("synthetic")
+        return real(p)
+    monkeypatch.setattr(qes, "count_positive_roots", count)
+    code, out, _ = run(capsys, "spectrum", "--n", "3", "--s", "0")
+    header, rows = parse_csv(out)
+    nodes = [r[header.index("nodes")] for r in rows]
+    assert code == 0 and [i for i, x in enumerate(nodes) if x == ""] == [1]
+
+
 def test_landau_default_table(capsys):
     code, out, _ = run(capsys, "landau")
     assert code == 0
@@ -185,6 +219,14 @@ def test_verify_deterministic_bytes(capsys, tmp_path):
     data = target.read_bytes()
     assert data.decode("utf-8") == out1
     assert b"\r" not in data
+
+
+def test_casimir_residual_of_either_sign_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "casimir_identity_check", lambda st, dp: -1.0)
+    code, out, _ = run(capsys, "verify", "--only", "casimir")
+    assert code == 1
+    _, rows = parse_csv(out)
+    assert rows[0][-1] == "FAIL"
 
 
 def test_json_verify_shape(capsys):

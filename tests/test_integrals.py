@@ -95,7 +95,7 @@ def test_dressed_action_sees_nonmembers():
     point = secular_spectrum(2, 0, EL)[0]
     intruder = EigenPair(point=point,
                          polynomial=Polynomial((1.0, 0.0, 0.0, 1.0)),
-                         nodes=0, residual=0.0)
+                         residual=0.0)
     out = gauge_rotated_action(intruder, grid)
     # only the rho^3 component survives i_2, with weight 3!
     want = (np.exp(-0.25 * grid ** 2) * math.factorial(3) * grid ** 3)

@@ -8,6 +8,7 @@ import pytest
 from magpair.polyops import parity_flip
 from magpair.qes import (
     MAX_DEGREE,
+    Sector,
     SpectralPoint,
     ZeroCouplingError,
     assemble_wavefunction,
@@ -77,6 +78,15 @@ def test_eigenpairs_basic_shape():
             assert pair.polynomial.coeffs[0] == 1.0
             assert pair.residual <= 1e-12
             assert residual(pair) == pair.residual
+
+
+def test_sector_serves_both_signs_and_cases():
+    sector = Sector(3, -2)
+    for s, case in ((2, EL), (-2, NU)):
+        for p in secular_spectrum(3, s, case):
+            assert sector.pair(p) == eigenfunction(3, s, p)
+    with pytest.raises(ValueError):
+        sector.pair(physical(3, 1)[0])
 
 
 def test_spot_values_s0():
@@ -212,12 +222,10 @@ def test_wavefunction_grid_validation():
 
 
 def test_residual_interface_guards():
-    pair = eigenfunction(2, 1, physical(2, 1)[0])
-    assert residual(pair, s=-1, case=EL) == pair.residual
-    with pytest.raises(ValueError):
-        residual(pair, s=2)
-    with pytest.raises(ValueError):
-        residual(pair, case=NU)
+    # the residual reads n, |s| and kappa from the pair itself
+    pos = eigenfunction(2, 1, physical(2, 1)[0])
+    neg = eigenfunction(2, -1, physical(2, -1)[0])
+    assert residual(pos) == pos.residual == residual(neg) == neg.residual
 
 
 def test_largest_supported_degree_spectrum():
