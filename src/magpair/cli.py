@@ -266,6 +266,19 @@ def _scope(defaults, chosen) -> list[int]:
     return [v for v in defaults if chosen is None or v in chosen]
 
 
+def _span(var: str, vals) -> str:
+    """The values a sweep covered, as a check name states them."""
+    vals = sorted(vals)
+    if not vals:
+        return f"{var}=none"
+    lo, hi = vals[0], vals[-1]
+    if vals != list(range(lo, hi + 1)):
+        return f"{var}=" + ",".join(map(str, vals))
+    if lo == hi:
+        return f"{var}={lo}"
+    return f"{var}<={hi}" if lo == 0 else f"{var}={lo}..{hi}"
+
+
 def _checks_sl2(ns, ss) -> list[Check]:
     rep = commutator_check(16, 18)
     return [Check("sl2", f"P16 {name.replace(',', ' ')}", float(dev), 0.0, "<=")
@@ -273,20 +286,22 @@ def _checks_sl2(ns, ss) -> list[Check]:
 
 
 def _checks_tmatrix(ns, ss) -> list[Check]:
+    ns, ss = _scope(range(17), ns), _scope(range(9), ss)
     worst = 0
-    for n in _scope(range(17), ns):
-        for a in _scope(range(9), ss):
+    for n in ns:
+        for a in ss:
             d = build_T_direct(n, a).mat
             g = build_T_algebraic(n, a).mat
             worst = max(worst, int(np.max(np.abs(d - g))))
-    return [Check("tmatrix", "direct vs algebraic n<=16 |s|<=8",
-                  float(worst), 0.0, "<=")]
+    return [Check("tmatrix", f"direct vs algebraic {_span('n', ns)} "
+                  f"{_span('|s|', ss)}", float(worst), 0.0, "<=")]
 
 
 def _checks_catalog(ns, ss) -> list[Check]:
+    ns = _scope(range(9), ns)
     lam_low = lam_high = coeff_low = canary = 0.0
     have_78 = have_8 = False
-    for n in _scope(range(9), ns):
+    for n in ns:
         for s in _scope(range(6), ss):
             rep = compare_catalog_with_solver(n, s)
             for br in rep.branches:
@@ -301,10 +316,14 @@ def _checks_catalog(ns, ss) -> list[Check]:
                     elif s >= 1:
                         have_8 = True
                         canary = max(canary, br.coeff_max_abs_err)
-    out = [Check("catalog", "lambda rel err n<=6", lam_low, 1e-10, "<="),
-           Check("catalog", "coefficient dev n<=7", coeff_low, 1e-9, "<=")]
+    low = _span("n", [n for n in ns if n <= 6])
+    high = _span("n", [n for n in ns if n >= 7])
+    coeff = _span("n", [n for n in ns if n <= 7])
+    out = [Check("catalog", f"lambda rel err {low}", lam_low, 1e-10, "<="),
+           Check("catalog", f"coefficient dev {coeff}", coeff_low, 1e-9,
+                 "<=")]
     if have_78:
-        out.insert(1, Check("catalog", "lambda rel err n=7..8",
+        out.insert(1, Check("catalog", f"lambda rel err {high}",
                             lam_high, 1e-8, "<="))
     if have_8:
         # canary for the printed rho^7 slot at n=8: the deviation against the
@@ -316,8 +335,9 @@ def _checks_catalog(ns, ss) -> list[Check]:
 
 
 def _checks_symmetry(ns, ss) -> list[Check]:
+    ns = _scope(range(13), ns)
     mirror = structure = coeff = bshare = 0.0
-    for n in _scope(range(13), ns):
+    for n in ns:
         for s in _scope(range(4), ss):
             pts = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
             kap = np.sort([p.kappa for p in pts])
@@ -341,19 +361,21 @@ def _checks_symmetry(ns, ss) -> list[Check]:
                 coeff = max(coeff, max(abs(x - y) for x, y in
                                        zip(parity_flip(ce).coeffs, cn.coeffs)))
     return [
-        Check("symmetry", "kappa mirror multiset n<=12", mirror, 1e-12, "<="),
+        Check("symmetry", f"kappa mirror multiset {_span('n', ns)}", mirror,
+              1e-12, "<="),
         Check("symmetry", "positive count and zero membership", structure,
               0.0, "<="),
-        Check("symmetry", "neutral parity-flip coefficients n<=8", coeff,
-              1e-10, "<="),
+        Check("symmetry", "neutral parity-flip coefficients "
+              f"{_span('n', [n for n in ns if n <= 8])}", coeff, 1e-10, "<="),
         Check("symmetry", "shared field quantization b", bshare, 0.0, "<="),
     ]
 
 
 def _checks_nodes(ns, ss) -> list[Check]:
+    ns = _scope(range(9), ns)
     bad_ladder = bad_map = 0.0
     saw56 = False
-    for n in _scope(range(9), ns):
+    for n in ns:
         for s in _scope(range(3), ss):
             pts = [p for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
                    if p.physical]
@@ -373,8 +395,8 @@ def _checks_nodes(ns, ss) -> list[Check]:
                                key=lambda e: abs(e.point.lam - lams[jc - 1]))
                     if near.nodes != want:
                         bad_map += 1.0
-    out = [Check("nodes", "ladder 0..floor((n-1)/2) n<=8", bad_ladder,
-                 0.0, "<=")]
+    out = [Check("nodes", f"ladder 0..floor((n-1)/2) {_span('n', ns)}",
+                 bad_ladder, 0.0, "<=")]
     if saw56:
         out.append(Check("nodes", "n=5,6 map j=1,3,2 -> 0,1,2", bad_map,
                          0.0, "<="))
@@ -383,12 +405,14 @@ def _checks_nodes(ns, ss) -> list[Check]:
 
 def _checks_residuals(ns, ss) -> list[Check]:
     solver = catalog = 0.0
-    for n in _scope(range(13), ns):
+    # n = 0 has the one closed form lambda = 0, whose residual is exactly 0
+    ns_solver, ns_closed = _scope(range(13), ns), _scope(range(7), ns)
+    for n in ns_solver:
         for s in _scope((0, 1, 2, 5), ss):
             sector = Sector(n, s)
             for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
                 solver = max(solver, sector.pair(p).residual)
-    for n in _scope(range(1, 7), ns):
+    for n in ns_closed:
         for s in _scope(range(6), ss):
             t = build_T_direct(n, s).mat[:n + 1, :n + 1]
             for j, lam in enumerate(closed_form_lambdas(n, s), start=1):
@@ -396,8 +420,10 @@ def _checks_residuals(ns, ss) -> list[Check]:
                 kap = float(np.sqrt(lam))
                 r = np.max(np.abs(t @ c + kap * c)) / np.max(np.abs(c))
                 catalog = max(catalog, float(r))
-    return [Check("residuals", "solver eigenpairs n<=12", solver, 1e-12, "<="),
-            Check("residuals", "closed forms n<=6", catalog, 1e-9, "<=")]
+    return [Check("residuals", f"solver eigenpairs {_span('n', ns_solver)}",
+                  solver, 1e-12, "<="),
+            Check("residuals", f"closed forms {_span('n', ns_closed)}",
+                  catalog, 1e-9, "<=")]
 
 
 def _checks_oracle(ns, ss) -> list[Check]:
@@ -416,8 +442,8 @@ def _checks_oracle(ns, ss) -> list[Check]:
                 nodes_bad += 1.0
     order = convergence_order(ns[-1], ss[-1]).min_order
     return [
-        Check("oracle", "kappa vs finite differences n<=4 |s|<=2", err,
-              1e-4, "<="),
+        Check("oracle", "kappa vs finite differences "
+              f"{_span('n', ns)} {_span('|s|', ss)}", err, 1e-4, "<="),
         Check("oracle", "node counts agree", nodes_bad, 0.0, "<="),
         Check("oracle", f"grid convergence order at ({ns[-1]},{ss[-1]})",
               order, 1.8, ">="),
@@ -437,8 +463,10 @@ def _checks_casimir(ns, ss) -> list[Check]:
             deg_e = max(deg_e, abs(cm_energy(CMState(N, S), dp) - e0))
             deg_k = max(deg_k, abs(
                 pseudomomentum_sq(CMState(N, -S), dp.q, dp.B) - k0))
+    sweep = ("N,|S|<=10" if Ns == list(range(11))
+             else f"{_span('N', Ns)} |S|<=10")
     return [
-        Check("casimir", "K^2 - 2qB S - 2M E_R sweep N,|S|<=10", worst,
+        Check("casimir", f"K^2 - 2qB S - 2M E_R sweep {sweep}", worst,
               1e-12, "<="),
         Check("casimir", "E_R degenerate in S>=0", deg_e, 0.0, "<="),
         Check("casimir", "K^2 degenerate in S<=0", deg_k, 0.0, "<="),
@@ -461,10 +489,10 @@ def _checks_annihilator(ns, ss) -> list[Check]:
             if n >= 1:
                 beyond = min(beyond, float(pr.max_abs_beyond))
     out = [
-        Check("annihilator", "minus convention kills P_n n<=10", minus,
-              0.0, "<="),
-        Check("annihilator", "[T, i_n] = 0 on P_n n<=10 |s|<=5", comm,
-              0.0, "<="),
+        Check("annihilator", f"minus convention kills P_n {_span('n', ns)}",
+              minus, 0.0, "<="),
+        Check("annihilator", "[T, i_n] = 0 on P_n "
+              f"{_span('n', ns)} {_span('|s|', ss)}", comm, 0.0, "<="),
     ]
     if any(n >= 1 for n in ns):
         out.insert(1, Check("annihilator", "plus convention does not (n>=1)",

@@ -1,13 +1,17 @@
 """Polynomial helpers: Horner evaluation, parity, exact positive-root counts.
 
 Coefficients are stored densely by ascending power, coeffs[k] multiplying
-rho**k.  Root counting runs a Sturm chain over exact rationals (float64
-coefficients convert to Fraction without rounding), so node counts cannot
-be corrupted by cancellation near a close pair of roots.
+rho**k.  Root counting runs an integer Sturm sequence (float64 coefficients
+scale to integers without rounding), so node counts cannot be corrupted by
+cancellation near a close pair of roots.  They are exact for the stored
+float64 coefficients; how far those coefficients are from the true
+eigenpolynomial is ROADMAP item 3, which is why counts above n ~ 20 are
+not certified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,62 +74,64 @@ def parity_flip(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact Sturm machinery (dense lists of Fraction, ascending powers)
+# integer Sturm machinery (dense lists of int, ascending powers, no trailing
+# zeros; the zero polynomial is the empty list)
 
-def _trim(f: list[Fraction]) -> list[Fraction]:
-    out = list(f)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _integer_coeffs(coeffs) -> list[int]:
+    """Primitive integer polynomial, a positive multiple of the float one.
+
+    float64 values are dyadic, so scaling by their largest denominator (a
+    power of two) gives integers without rounding.
+    """
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)
+    f = [num * (den // d) for num, d in ratios]
+    while f and f[-1] == 0:
+        f.pop()
+    return _primitive(f)
 
 
-def _derivative(f: list[Fraction]) -> list[Fraction]:
-    if len(f) == 1:
-        return [Fraction(0)]
+def _primitive(f: list[int]) -> list[int]:
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _derivative(f: list[int]) -> list[int]:
     return [k * f[k] for k in range(1, len(f))]
 
 
-def _divmod_exact(a: list[Fraction], b: list[Fraction]):
-    """Exact quotient and remainder of dense rational polynomials."""
-    b = _trim(b)
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = _trim(a)
-    db = len(b) - 1
-    if r == [Fraction(0)] or len(r) - 1 < db:
-        return [Fraction(0)], r
-    q = [Fraction(0)] * (len(r) - db)
-    while r != [Fraction(0)] and len(r) - 1 >= db:
-        dr = len(r) - 1
-        c = r[dr] / b[db]
-        q[dr - db] = c
-        for i in range(db + 1):
-            r[dr - db + i] -= c * b[i]
-        r = _trim(r)  # the lead term cancels exactly over Q
-    return q, r
+def _next_sturm(a: list[int], b: list[int]) -> list[int]:
+    """Negated pseudo-remainder of a by b.
+
+    Each reduction step first scales the running remainder by |lc(b)| > 0,
+    so the result is a positive multiple of -(a mod b) over the rationals
+    and every sign in the chain matches the rational Sturm chain.
+    """
+    lead, db = b[-1], len(b) - 1
+    scale, sign = abs(lead), _sign(lead)
+    r = list(a)
+    while len(r) > db:
+        c = r.pop() * sign  # the lead term cancels exactly
+        shift = len(r) - db
+        r = [scale * x for x in r]
+        for i in range(db):
+            r[shift + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return [-x for x in r]
 
 
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a), _trim(b)
-    while b != [Fraction(0)]:
-        _, r = _divmod_exact(a, b)
-        a, b = b, _trim(r)
-    return a
+def _sign_at(f: list[int], p: int, q: int) -> int:
+    """Sign of f(p/q) for q > 0, read off the integer q**deg * f(p/q)."""
+    acc, pk = 0, 1
+    for c in f:
+        acc = acc * q + c * pk
+        pk *= p
+    return _sign(acc)
 
 
-def _eval_exact(f: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _sign_at_plus_inf(f: list[Fraction]) -> int:
-    return _sign(f[-1])
 
 
 def _variations(signs) -> int:
@@ -139,47 +145,35 @@ def _variations(signs) -> int:
     return count
 
 
-def _sturm_chain(f: list[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain of a square-free polynomial."""
-    chain = [f, _trim(_derivative(f))]
-    while len(chain[-1]) > 1:
-        _, r = _divmod_exact(chain[-2], chain[-1])
-        r = _trim(r)
-        if r == [Fraction(0)]:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
 def count_positive_roots(p: Polynomial) -> int:
     """Number of distinct real roots of p in (0, +inf), counted exactly.
 
-    The coefficients are converted to rationals without rounding, the
-    square-free part is extracted, and Sturm's theorem gives the count as
-    V(0) - V(+inf).  Raises DegenerateRootError when the square-free part
-    has a root within ZERO_GUARD of the origin (including a root exactly
-    at 0), where "positive root" stops being meaningful.
+    The count is exact for the stored float64 coefficients (not for the
+    polynomial they approximate; see ROADMAP item 3).  The coefficients
+    are scaled to a primitive integer polynomial f, and the integer Sturm
+    sequence f, f', -prem(f, f'), ... (primitive pseudo-remainders) gives
+    the count as V(0) - V(+inf).  The sequence ends at gcd(f, f') rather
+    than at a constant, which still counts distinct roots between points
+    where f does not vanish.  Raises DegenerateRootError when f has a root
+    within ZERO_GUARD of the origin (including a root exactly at 0), where
+    "positive root" stops being meaningful.
     """
-    f = _trim([Fraction(c) for c in p.coeffs])
-    if f == [Fraction(0)]:
+    f = _integer_coeffs(p.coeffs)
+    if not f:
         raise ValueError("the zero polynomial has no root count")
     if f[0] == 0:
         raise DegenerateRootError("root exactly at rho = 0")
-    g = _gcd(f, _trim(_derivative(f)))
-    sqfree, rem = _divmod_exact(f, g)
-    if _trim(rem) != [Fraction(0)]:
-        raise AssertionError("square-free reduction left a remainder")
-    sqfree = _trim(sqfree)
-    chain = _sturm_chain(sqfree)
+    chain, nxt = [f], _derivative(f)
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = _next_sturm(chain[-2], chain[-1])
 
-    lo, hi = -ZERO_GUARD, ZERO_GUARD
-    if _eval_exact(sqfree, lo) == 0 or _eval_exact(sqfree, hi) == 0:
+    num, den = ZERO_GUARD.numerator, ZERO_GUARD.denominator
+    lo = [_sign_at(q, -num, den) for q in chain]
+    hi = [_sign_at(q, num, den) for q in chain]
+    if lo[0] == 0 or hi[0] == 0:
         raise DegenerateRootError("root on the guard-band edge near rho = 0")
-    v_lo = _variations([_sign(_eval_exact(q, lo)) for q in chain])
-    v_hi = _variations([_sign(_eval_exact(q, hi)) for q in chain])
-    if v_lo - v_hi:
+    if _variations(lo) != _variations(hi):
         raise DegenerateRootError("root within 1e-10 of rho = 0")
-
-    v0 = _variations([_sign(_eval_exact(q, Fraction(0))) for q in chain])
-    v_inf = _variations([_sign_at_plus_inf(q) for q in chain])
-    return v0 - v_inf
+    return (_variations([_sign(q[0]) for q in chain])
+            - _variations([_sign(q[-1]) for q in chain]))

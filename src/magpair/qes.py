@@ -98,8 +98,13 @@ class EigenPair:
 
     @cached_property
     def nodes(self) -> int:
-        """Exact positive-root count, computed on first read (which may
-        raise DegenerateRootError)."""
+        """Positive-root count by an integer Sturm sequence, computed on
+        first read (which may raise DegenerateRootError).
+
+        Exact for the stored float64 coefficients; above n ~ 20 those can
+        be far enough from the true eigenpolynomial that the count is not
+        certified (ROADMAP item 3).
+        """
         return count_positive_roots(self.polynomial)
 
 

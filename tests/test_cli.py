@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -205,6 +206,33 @@ def test_verify_scoping_can_empty_a_section(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert rows == []
+
+
+def test_verify_names_state_the_swept_range(capsys):
+    code, out, _ = run(capsys, "verify", "--only", "symmetry",
+                       "--n", "0..8", "--s", "0..1")
+    _, rows = parse_csv(out)
+    assert code == 0 and rows[0][1] == "kappa mirror multiset n<=8"
+    code, out, _ = run(capsys, "verify", "--only", "tmatrix",
+                       "--n", "3..6", "--s", "-2")
+    _, rows = parse_csv(out)
+    assert code == 0 and rows[0][1] == "direct vs algebraic n=3..6 |s|=2"
+    names = [c.name for c in cli.run_verification(
+        [4], [0, 1, 3], only="annihilator")]
+    assert "[T, i_n] = 0 on P_n n=4 |s|=0,1,3" in names
+    names = [c.name for c in cli.run_verification([2, 3], only="casimir")]
+    assert names[0] == "K^2 - 2qB S - 2M E_R sweep N=2..3 |S|<=10"
+
+
+def test_spectrum_block_budget(capsys):
+    # every printed node count is an integer Sturm count: the block takes
+    # about 0.4 s in process on a 2-core VM, while rational remainder
+    # chains need about 53 s
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--n", "0..16", "--s", "0..2")
+    dt = time.perf_counter() - t0
+    assert code == 0 and out.count("\n") == 1 + 3 * sum(range(1, 18))
+    assert dt < 5.0, f"spectrum --n 0..16 --s 0..2 took {dt:.1f} s"
 
 
 def test_verify_deterministic_bytes(capsys, tmp_path):

@@ -228,9 +228,23 @@ def test_residual_interface_guards():
     assert residual(pos) == pos.residual == residual(neg) == neg.residual
 
 
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("a", [0, 1, 5])
+def test_node_laws_beyond_n12(n, a):
+    sector = Sector(n, a)
+    nodes = {p.kappa: sector.pair(p).nodes
+             for p in secular_spectrum(n, a, EL)}
+    assert sorted(k for kap, k in nodes.items() if kap > 0.0) \
+        == list(range((n - 1) // 2 + 1))
+    for kap, k in nodes.items():
+        if kap != 0.0:
+            assert k + nodes[-kap] == n, (kap, k, nodes[-kap])
+
+
 def test_largest_supported_degree_spectrum():
-    # exact node counting is impractical at degree 64; only the spectrum
-    # itself has to stay cheap and exactly mirrored up there
+    # node counts above n ~ 20 are exact for the rounded coefficients only,
+    # not certified (ROADMAP item 3); only the spectrum itself has to stay
+    # cheap and exactly mirrored up there
     pts = secular_spectrum(MAX_DEGREE, 0, EL)
     assert len(pts) == MAX_DEGREE + 1
     kappas = sorted(p.kappa for p in pts)
