@@ -11,8 +11,8 @@ finite-difference oracle, and covers the center-of-mass Landau sector.
 from .system import CaseTag, ChargePair, DerivedParams, classify, derive
 from .polyops import (DegenerateRootError, Polynomial, count_positive_roots,
                       evaluate, parity_flip)
-from .sl2rep import (CommutatorReport, OperatorOnPn, build_T_algebraic,
-                     build_T_direct, commutator_check, jminus, jplus, jzero)
+from .sl2rep import (CommutatorReport, build_T_algebraic, build_T_direct,
+                     commutator_check, jminus, jplus, jzero)
 from .qes import (EigenPair, IllConditionedError, NonNormalizableError,
                   RadialSample, Sector, SpectralPoint, ZeroCouplingError,
                   assemble_wavefunction, dimensionless_energy, eigenfunction,
@@ -25,23 +25,22 @@ from .oracle import (ConvergenceError, MatchReport, MismatchError,
                      default_grid, fd_kappa_spectrum, oracle_match)
 from .landau import (CMSample, CMState, casimir_identity_check, cm_energy,
                      cm_wavefunction, laguerre, pseudomomentum_sq)
-from .integrals import (AnnihilationReport, AnnihilatorOp,
-                        ParticularIntegralReport, annihilation_check,
-                        build_annihilator, commutator_particular_check,
-                        gauge_rotated_action)
+from .integrals import (AnnihilationReport, ParticularIntegralReport,
+                        annihilation_check, build_annihilator,
+                        commutator_particular_check, gauge_rotated_action)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnihilationReport", "AnnihilatorOp", "BranchComparison", "CMSample",
-    "CMState", "CaseTag", "CatalogComparison", "ChargePair", "ClosedFormAux",
+    "AnnihilationReport", "BranchComparison", "CMSample", "CMState",
+    "CaseTag", "CatalogComparison", "ChargePair", "ClosedFormAux",
     "CommutatorReport", "ConvergenceError", "DegenerateRootError",
     "DerivedParams", "EigenPair", "IllConditionedError", "MatchReport",
-    "MismatchError", "NonNormalizableError", "OperatorOnPn", "OracleResult",
-    "OrderReport", "ParticularIntegralReport", "Polynomial", "RadialGrid",
-    "RadialSample", "Sector", "SpectralPoint", "ZeroCouplingError",
-    "annihilation_check", "assemble_wavefunction", "build_T_algebraic",
-    "build_T_direct", "build_annihilator", "casimir_identity_check",
+    "MismatchError", "NonNormalizableError", "OracleResult", "OrderReport",
+    "ParticularIntegralReport", "Polynomial", "RadialGrid", "RadialSample",
+    "Sector", "SpectralPoint", "ZeroCouplingError", "annihilation_check",
+    "assemble_wavefunction", "build_T_algebraic", "build_T_direct",
+    "build_annihilator", "casimir_identity_check",
     "catalog_polynomial", "classify", "closed_form_aux",
     "closed_form_lambdas", "cm_energy", "cm_wavefunction",
     "commutator_check", "commutator_particular_check",

@@ -17,17 +17,17 @@ identically zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polyops import Polynomial, evaluate
 from .qes import EigenPair
-from .sl2rep import OperatorOnPn, build_T_direct
+from .sl2rep import build_T_direct
 
 __all__ = [
     "AnnihilationReport",
-    "AnnihilatorOp",
     "ParticularIntegralReport",
     "annihilation_check",
     "build_annihilator",
@@ -38,28 +38,14 @@ __all__ = [
 _INT64_SAFE = 2 ** 62
 
 
-@dataclass(frozen=True)
-class AnnihilatorOp:
-    """Diagonal Euler-product operator i_n^(sigma) on P_(dim-1)."""
-
-    n: int
-    sign: int
-    op: OperatorOnPn
-
-
 def _diag_entries(n: int, dim: int, sign: int) -> list[int]:
-    out = []
-    for k in range(dim):
-        e = 1
-        for j in range(n + 1):
-            e *= k + sign * j
-        out.append(e)
-    return out
+    return [math.prod(k + sign * j for j in range(n + 1)) for k in range(dim)]
 
 
-def build_annihilator(n: int, dim: int | None = None, sign: int = -1) -> AnnihilatorOp:
-    """Build i_n^(sigma) on P_(dim-1); dim defaults to n + 3 so that the
-    action just beyond P_n stays visible for the commutator checks."""
+def build_annihilator(n: int, dim: int | None = None, sign: int = -1) -> np.ndarray:
+    """Diagonal int64 matrix of i_n^(sigma) on P_(dim-1); dim defaults to
+    n + 3 so that the action just beyond P_n stays visible for the
+    commutator checks."""
     if n < 0 or int(n) != n:
         raise ValueError("n must be a nonnegative integer")
     if sign not in (-1, 1):
@@ -70,8 +56,7 @@ def build_annihilator(n: int, dim: int | None = None, sign: int = -1) -> Annihil
     entries = _diag_entries(n, d, sign)
     if max(abs(e) for e in entries) >= _INT64_SAFE:
         raise ValueError("diagonal entries overflow int64; reduce n or dim")
-    return AnnihilatorOp(n=n, sign=sign,
-                         op=OperatorOnPn(np.diag(np.array(entries, dtype=np.int64))))
+    return np.diag(np.array(entries, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -90,15 +75,12 @@ class AnnihilationReport:
         return -1 if self.max_abs_minus == 0 else 1
 
 
-def annihilation_check(n: int, dim: int | None = None) -> AnnihilationReport:
+def annihilation_check(n: int) -> AnnihilationReport:
     """Apply both sign conventions to the monomial basis of P_n.
 
     The report carries max_k |i_n rho^k| over k <= n for each sign; the
     minus convention must come out exactly zero, the plus one must not.
     """
-    d = n + 1 if dim is None else dim
-    if d < n + 1:
-        raise ValueError("dim must cover P_n")
     minus = _diag_entries(n, n + 1, -1)
     plus = _diag_entries(n, n + 1, +1)
     return AnnihilationReport(n=n,
@@ -132,8 +114,8 @@ def commutator_particular_check(n: int, s: int, dim: int | None = None,
     d = n + 3 if dim is None else dim
     if d < n + 3:
         raise ValueError("need dim >= n + 3 to see one column beyond P_n")
-    t = build_T_direct(n, a, dim=d).mat
-    i_op = build_annihilator(n, dim=d, sign=sign).op.mat
+    t = build_T_direct(n, a, dim=d)
+    i_op = build_annihilator(n, dim=d, sign=sign)
     bound = (int(np.max(np.abs(t))) + 1) * (int(np.max(np.abs(i_op))) + 1) * 2
     if bound >= _INT64_SAFE:
         raise ValueError("commutator entries may overflow int64; reduce n")
@@ -160,6 +142,6 @@ def gauge_rotated_action(pair: EigenPair, grid, sign: int = -1) -> np.ndarray:
     a = abs(pair.point.s)
     coeffs = np.asarray(pair.polynomial.coeffs, dtype=float)
     ann = build_annihilator(n, dim=len(coeffs), sign=sign)
-    image = ann.op.mat.astype(float) @ coeffs
+    image = ann.astype(float) @ coeffs
     zeta0 = np.exp(-0.25 * r * r) * np.power(r, a)
     return zeta0 * evaluate(Polynomial(tuple(image)), r)

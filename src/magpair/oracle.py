@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .qes import EigenPair, SpectralPoint, eigenfunction
+from .qes import eigenfunction
 
 __all__ = [
     "ConvergenceError",
@@ -169,10 +169,8 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None,
 
     e_n, ri, sub, diag, sup = _assemble(n, s, grid)
     m = len(ri)
-    prod = sub[1:] * sup[:-1]
-    if np.any(prod <= 0.0):
-        raise RuntimeError("pencil lost symmetrizability on this grid")
-    off = np.sqrt(prod)
+    # r_i >= r_min + h > h/2 on every interior node, so sub > 0 and sup > 0
+    off = np.sqrt(sub[1:] * sup[:-1])
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
 
     if kappa_window is not None:
@@ -228,25 +226,16 @@ class MatchReport:
 def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
     """Match the physical algebraic branches against the oracle block.
 
-    points holds SpectralPoint or EigenPair items for the same (n, s);
-    only physical branches participate.  Every physical kappa must find a
-    distinct oracle partner within tol, else MismatchError.  Node counts
-    of both sides ride along in the report.  With no physical branch
-    (n = 0) the match is vacuous.
+    points holds the SpectralPoints of one (n, s), as secular_spectrum
+    returns them; only physical branches participate.  Every physical
+    kappa must find a distinct oracle partner within tol, else
+    MismatchError.  Node counts of both sides ride along in the report.
+    With no physical branch (n = 0) the match is vacuous.
     """
     rows = []
     used: set[int] = set()
-    pairs: list[EigenPair] = []
-    for item in points:
-        if isinstance(item, EigenPair):
-            if item.point.physical:
-                pairs.append(item)
-        elif isinstance(item, SpectralPoint):
-            if item.physical:
-                pairs.append(eigenfunction(item.n, item.s, item))
-        else:
-            raise TypeError("points must hold SpectralPoint or EigenPair items")
-    for pair in sorted(pairs, key=lambda p: p.point.j):
+    pairs = [eigenfunction(p.n, p.s, p) for p in points if p.physical]
+    for pair in sorted(pairs, key=lambda e: e.point.j):
         pt = pair.point
         if pt.n != result.n or pt.s != result.s:
             raise ValueError("algebraic point belongs to a different (n, s)")

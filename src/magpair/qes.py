@@ -46,7 +46,7 @@ __all__ = [
     "secular_spectrum",
 ]
 
-#: Largest polynomial degree the solver accepts by default.
+#: Largest polynomial degree the solver accepts.
 MAX_DEGREE = 64
 
 #: Eigenvector backward error above which a solve is treated as failed.
@@ -119,11 +119,11 @@ class RadialSample:
     point: SpectralPoint
 
 
-def _validate_ns(n: int, s: int, max_degree: int) -> int:
+def _validate_ns(n: int, s: int) -> int:
     if int(n) != n or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n > max_degree:
-        raise ValueError(f"n = {n} exceeds the configured maximum {max_degree}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"n = {n} exceeds the configured maximum {MAX_DEGREE}")
     if int(s) != s:
         raise ValueError("s must be an integer")
     return abs(int(s))
@@ -169,8 +169,7 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
 
 
 def secular_spectrum(n: int, s: int, case: CaseTag,
-                     dp: DerivedParams | None = None,
-                     max_degree: int = MAX_DEGREE) -> list[SpectralPoint]:
+                     dp: DerivedParams | None = None) -> list[SpectralPoint]:
     """All n + 1 coupling roots at fixed (n, s), flagged and ranked.
 
     Points are sorted by descending lambda with ties broken by ascending
@@ -185,7 +184,7 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     roots are snapped to exact +/- pairs; the two physical cases therefore
     quantize to bitwise identical fields b.
     """
-    a = _validate_ns(n, s, max_degree)
+    a = _validate_ns(n, s)
     if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
         raise ValueError("QES branches exist only for EqualLarmor and Neutral")
     if dp is not None and classify(dp) is not case:
@@ -238,11 +237,11 @@ class Sector:
     """
 
     def __init__(self, n: int, s: int) -> None:
-        a = _validate_ns(n, s, MAX_DEGREE)
+        a = _validate_ns(n, s)
         d, e, self.scale = _symmetrized(n, a)
         self.mu, self.w = (eigh_tridiagonal(d, e) if n > 0
                            else (np.zeros(1), np.ones((1, 1))))
-        self.t = build_T_direct(n, a).mat
+        self.t = build_T_direct(n, a)
         self.n, self.a = n, a
 
     def pair(self, point: SpectralPoint) -> EigenPair:
@@ -279,7 +278,7 @@ def residual(pair: EigenPair) -> float:
     """Backward error of an eigenpair against the integer operator."""
     n, a = pair.point.n, abs(pair.point.s)
     return _coefficient_residual(np.asarray(pair.polynomial.coeffs),
-                                 build_T_direct(n, a).mat, pair.point.kappa)
+                                 build_T_direct(n, a), pair.point.kappa)
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:

@@ -6,8 +6,9 @@ so operator composition is plain matrix multiplication.  The top column of
 a degree-raising operator leaves P_N and is truncated, which is why the
 commutator check only trusts columns k <= N - 2.
 
-Every entry below is an integer or a half-integer, exactly representable
-in float64, so all identity checks in this module are exact equalities.
+Every operator is a plain square numpy array: int64, except jzero, whose
+half-integer diagonal is float.  Every entry is exactly representable in
+float64, so all identity checks in this module are exact equalities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "CommutatorReport",
-    "OperatorOnPn",
     "build_T_algebraic",
     "build_T_direct",
     "commutator_check",
@@ -28,33 +28,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorOnPn:
-    """Dense linear operator on P_N in the monomial basis (column convention)."""
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return int(self.mat.shape[0])
-
-    def __matmul__(self, other: "OperatorOnPn") -> "OperatorOnPn":
-        return OperatorOnPn(self.mat @ other.mat)
-
-    def apply(self, coeffs):
-        """Coefficient vector of the image polynomial."""
-        c = np.asarray(coeffs)
-        if c.shape != (self.dim,):
-            raise ValueError("coefficient vector length must equal dim")
-        return self.mat @ c
-
-
 def _validate(n: int, N: int) -> None:
     if n < 0:
         raise ValueError("representation label n must be nonnegative")
@@ -62,7 +35,7 @@ def _validate(n: int, N: int) -> None:
         raise ValueError("space degree N must be nonnegative")
 
 
-def jplus(n: int, N: int | None = None) -> OperatorOnPn:
+def jplus(n: int, N: int | None = None) -> np.ndarray:
     """Raising generator rho^2 d/drho - n rho on P_N (default N = n).
 
     rho^k maps to (k - n) rho^(k+1); the image of rho^N is truncated.
@@ -71,26 +44,20 @@ def jplus(n: int, N: int | None = None) -> OperatorOnPn:
     """
     N = n if N is None else N
     _validate(n, N)
-    m = np.zeros((N + 1, N + 1), dtype=np.int64)
-    for k in range(N):
-        m[k + 1, k] = k - n
-    return OperatorOnPn(m)
+    return np.diag(np.array([k - n for k in range(N)], dtype=np.int64), -1)
 
 
-def jzero(n: int, N: int | None = None) -> OperatorOnPn:
+def jzero(n: int, N: int | None = None) -> np.ndarray:
     """Grading generator rho d/drho - n/2 on P_N: diagonal k - n/2."""
     N = n if N is None else N
     _validate(n, N)
-    return OperatorOnPn(np.diag([k - n / 2.0 for k in range(N + 1)]))
+    return np.diag([k - n / 2.0 for k in range(N + 1)])
 
 
-def jminus(N: int) -> OperatorOnPn:
+def jminus(N: int) -> np.ndarray:
     """Lowering generator d/drho on P_N: rho^k maps to k rho^(k-1)."""
     _validate(0, N)
-    m = np.zeros((N + 1, N + 1), dtype=np.int64)
-    for k in range(1, N + 1):
-        m[k - 1, k] = k
-    return OperatorOnPn(m)
+    return np.diag(np.arange(1, N + 1, dtype=np.int64), 1)
 
 
 @dataclass(frozen=True)
@@ -116,9 +83,9 @@ def commutator_check(n: int, N: int) -> CommutatorReport:
     """
     if N < n + 2:
         raise ValueError("need N >= n + 2 for a truncation-free check")
-    jp = jplus(n, N).mat.astype(float)
-    j0 = jzero(n, N).mat
-    jm = jminus(N).mat.astype(float)
+    jp = jplus(n, N).astype(float)
+    j0 = jzero(n, N)
+    jm = jminus(N).astype(float)
     residues = {
         "[J0,J+] - J+": j0 @ jp - jp @ j0 - jp,
         "[J0,J-] + J-": j0 @ jm - jm @ j0 + jm,
@@ -129,7 +96,7 @@ def commutator_check(n: int, N: int) -> CommutatorReport:
     return CommutatorReport(n=n, dim=N + 1, deviations=devs)
 
 
-def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> OperatorOnPn:
+def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     """Coupling operator by its monomial action:
 
         T rho^k = (k - n) rho^(k+1) - k (k + 2 |s|) rho^(k-1)
@@ -145,16 +112,12 @@ def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> OperatorOnPn:
     d = n + 1 if dim is None else dim
     if d < 1:
         raise ValueError("dim must be positive")
-    m = np.zeros((d, d), dtype=np.int64)
-    for k in range(d):
-        if k + 1 < d:
-            m[k + 1, k] = k - n
-        if k >= 1:
-            m[k - 1, k] = -k * (k + 2 * s_abs)
-    return OperatorOnPn(m)
+    sub = np.array([k - n for k in range(d - 1)], dtype=np.int64)
+    sup = np.array([-k * (k + 2 * s_abs) for k in range(1, d)], dtype=np.int64)
+    return np.diag(sub, -1) + np.diag(sup, 1)
 
 
-def build_T_algebraic(n: int, s_abs: int, dim: int | None = None) -> OperatorOnPn:
+def build_T_algebraic(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     """Coupling operator assembled from the generators:
 
         T = -J0_n J- + J+_n - (1 + 2 |s| + n/2) J-
@@ -172,10 +135,10 @@ def build_T_algebraic(n: int, s_abs: int, dim: int | None = None) -> OperatorOnP
     if d < 1:
         raise ValueError("dim must be positive")
     N = d - 1
-    jp = jplus(n, N).mat.astype(float)
-    j0 = jzero(n, N).mat
-    jm = jminus(N).mat.astype(float)
+    jp = jplus(n, N).astype(float)
+    j0 = jzero(n, N)
+    jm = jminus(N).astype(float)
     m = -j0 @ jm + jp - (1.0 + 2.0 * s_abs + n / 2.0) * jm
     if not np.array_equal(m, np.rint(m)):
         raise AssertionError("algebraic assembly produced non-integer entries")
-    return OperatorOnPn(m.astype(np.int64))
+    return m.astype(np.int64)

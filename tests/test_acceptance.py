@@ -79,7 +79,7 @@ def test_primary_03_spectrum_structure():
             if sum(1 for p in pts if p.kappa > 0.0) != (n + 1) // 2:
                 structure_ok = False
             # independent route: dense eigenvalues of the integer operator
-            t = build_T_direct(n, s).mat[:n + 1, :n + 1].astype(float)
+            t = build_T_direct(n, s).astype(float)
             ev = np.linalg.eigvals(t)
             scale = max(1.0, float(np.max(np.abs(ev))))
             worst_imag = max(worst_imag,

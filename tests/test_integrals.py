@@ -36,10 +36,10 @@ def test_degree_zero_conventions_coincide():
 
 
 def test_diagonal_entries_explicit():
-    assert build_annihilator(0, dim=3).op.mat.diagonal().tolist() == [0, 1, 2]
-    plus = build_annihilator(2, dim=4, sign=+1).op.mat.diagonal()
+    assert build_annihilator(0, dim=3).diagonal().tolist() == [0, 1, 2]
+    plus = build_annihilator(2, dim=4, sign=+1).diagonal()
     assert plus.tolist() == [0, 6, 24, 60]  # k (k+1) (k+2)
-    minus = build_annihilator(2, dim=4, sign=-1).op.mat.diagonal()
+    minus = build_annihilator(2, dim=4, sign=-1).diagonal()
     assert minus.tolist() == [0, 0, 0, 6]   # k (k-1) (k-2)
     assert minus.dtype == np.int64
 
@@ -69,8 +69,6 @@ def test_dimension_and_sign_guards():
         build_annihilator(-1)
     with pytest.raises(ValueError):
         build_annihilator(2, sign=0)
-    with pytest.raises(ValueError):
-        annihilation_check(3, dim=2)
 
 
 def test_overflow_guard():
