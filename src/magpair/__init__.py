@@ -16,13 +16,13 @@ from .sl2rep import (CommutatorReport, build_T_algebraic, build_T_direct,
 from .qes import (EigenPair, IllConditionedError, NonNormalizableError,
                   RadialSample, Sector, SpectralPoint, ZeroCouplingError,
                   assemble_wavefunction, dimensionless_energy, eigenfunction,
-                  field_quantization, residual, secular_spectrum)
+                  field_quantization, secular_spectrum)
 from .catalog import (BranchComparison, CatalogComparison, ClosedFormAux,
                       catalog_polynomial, closed_form_aux, closed_form_lambdas,
                       compare_catalog_with_solver)
-from .oracle import (ConvergenceError, MatchReport, MismatchError,
-                     OracleResult, OrderReport, RadialGrid, convergence_order,
-                     default_grid, fd_kappa_spectrum, oracle_match)
+from .oracle import (MatchReport, MismatchError, OracleResult, OrderReport,
+                     RadialGrid, convergence_order, default_grid,
+                     fd_kappa_spectrum, oracle_match)
 from .landau import (CMSample, CMState, casimir_identity_check, cm_energy,
                      cm_wavefunction, laguerre, pseudomomentum_sq)
 from .integrals import (AnnihilationReport, ParticularIntegralReport,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnihilationReport", "BranchComparison", "CMSample", "CMState",
     "CaseTag", "CatalogComparison", "ChargePair", "ClosedFormAux",
-    "CommutatorReport", "ConvergenceError", "DegenerateRootError",
+    "CommutatorReport", "DegenerateRootError",
     "DerivedParams", "EigenPair", "IllConditionedError", "MatchReport",
     "MismatchError", "NonNormalizableError", "OracleResult", "OrderReport",
     "ParticularIntegralReport", "Polynomial", "RadialGrid", "RadialSample",
@@ -48,6 +48,5 @@ __all__ = [
     "count_positive_roots", "default_grid", "derive", "dimensionless_energy",
     "eigenfunction", "evaluate", "fd_kappa_spectrum", "field_quantization",
     "gauge_rotated_action", "jminus", "jplus", "jzero", "laguerre",
-    "oracle_match", "parity_flip", "pseudomomentum_sq", "residual",
-    "secular_spectrum",
+    "oracle_match", "parity_flip", "pseudomomentum_sq", "secular_spectrum",
 ]

@@ -47,6 +47,10 @@ __all__ = ["main"]
 
 _CASES = {"ec0": CaseTag.EQUAL_LARMOR, "q0": CaseTag.NEUTRAL}
 
+#: All five parameters 1: the landau table without --e1 .. --B, and the
+#: casimir checks.
+_UNIT_PAIR = ChargePair(1.0, 1.0, 1.0, 1.0, 1.0)
+
 
 class _UsageError(Exception):
     """Invalid command line input; mapped to exit code 2."""
@@ -222,11 +226,7 @@ def _cmd_wavefunction(args) -> str:
 def _cmd_landau(args) -> str:
     Ns = _parse_range(args.n, 0, MAX_DEGREE, "--n")
     Ss = _parse_range(args.s, -MAX_DEGREE, MAX_DEGREE, "--s")
-    if args.e1 is None and args.e2 is None and args.m1 is None \
-            and args.m2 is None and args.B is None:
-        dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))
-    else:
-        dp = _derived_or_none(args, CaseTag.EQUAL_LARMOR)
+    dp = _derived_or_none(args, CaseTag.EQUAL_LARMOR) or derive(_UNIT_PAIR)
 
     header = ["N", "S", "E_R", "K2", "casimir_residual"]
     rows = []
@@ -473,7 +473,7 @@ def _checks_oracle(ns, ss) -> list[Check]:
 
 
 def _checks_casimir(ns, ss) -> list[Check]:
-    dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))
+    dp = derive(_UNIT_PAIR)
     Ns = _scope(range(11), ns)
     if not Ns:
         return []

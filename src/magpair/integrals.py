@@ -8,8 +8,9 @@ is diagonal on monomials: rho^k maps to rho^k prod_j (k + sigma j).  For
 sigma = -1 the factor j = k kills every rho^k with k <= n, so P_n is
 annihilated and [T(n), i_n] vanishes on P_n; i_n is then a particular
 integral with P_n as invariant subspace.  For sigma = +1 the diagonal
-never vanishes on P_n.  Both signs are exposed so annihilation_check can
-show which convention actually annihilates instead of hardcoding it.
+never vanishes on P_n.  The operators built here are the annihilating
+i_n = i_n^(-); annihilation_check contrasts both signs on P_n so the
+choice of convention is shown rather than assumed.
 
 Everything here is exact integer arithmetic; reported maxima of zero mean
 identically zero.
@@ -42,18 +43,16 @@ def _diag_entries(n: int, dim: int, sign: int) -> list[int]:
     return [math.prod(k + sign * j for j in range(n + 1)) for k in range(dim)]
 
 
-def build_annihilator(n: int, dim: int | None = None, sign: int = -1) -> np.ndarray:
-    """Diagonal int64 matrix of i_n^(sigma) on P_(dim-1); dim defaults to
-    n + 3 so that the action just beyond P_n stays visible for the
+def build_annihilator(n: int, dim: int | None = None) -> np.ndarray:
+    """Diagonal int64 matrix of i_n = i_n^(-) on P_(dim-1); dim defaults
+    to n + 3 so that the action just beyond P_n stays visible for the
     commutator checks."""
     if n < 0 or int(n) != n:
         raise ValueError("n must be a nonnegative integer")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
     d = n + 3 if dim is None else dim
     if d < 1:
         raise ValueError("dim must be positive")
-    entries = _diag_entries(n, d, sign)
+    entries = _diag_entries(n, d, -1)
     if max(abs(e) for e in entries) >= _INT64_SAFE:
         raise ValueError("diagonal entries overflow int64; reduce n or dim")
     return np.diag(np.array(entries, dtype=np.int64))
@@ -63,7 +62,6 @@ def build_annihilator(n: int, dim: int | None = None, sign: int = -1) -> np.ndar
 class AnnihilationReport:
     """Largest image coefficient of each sign convention over P_n."""
 
-    n: int
     max_abs_minus: int
     max_abs_plus: int
 
@@ -83,8 +81,7 @@ def annihilation_check(n: int) -> AnnihilationReport:
     """
     minus = _diag_entries(n, n + 1, -1)
     plus = _diag_entries(n, n + 1, +1)
-    return AnnihilationReport(n=n,
-                              max_abs_minus=max(abs(e) for e in minus),
+    return AnnihilationReport(max_abs_minus=max(abs(e) for e in minus),
                               max_abs_plus=max(abs(e) for e in plus))
 
 
@@ -92,56 +89,45 @@ def annihilation_check(n: int) -> AnnihilationReport:
 class ParticularIntegralReport:
     """Exact size of [T, i_n] columns, on P_n and beyond."""
 
-    n: int
-    s_abs: int
-    sign: int
-    dim: int
     max_abs_on_pn: int       # columns k <= n; 0 means exact commutation
-    max_abs_beyond: int      # trusted columns n < k <= dim - 2
+    max_abs_beyond: int      # column n + 1, the trusted one beyond P_n
 
 
-def commutator_particular_check(n: int, s: int, dim: int | None = None,
-                                sign: int = -1) -> ParticularIntegralReport:
-    """Evaluate [T(n, |s|), i_n^(sigma)] in exact integer arithmetic.
+def commutator_particular_check(n: int, s: int) -> ParticularIntegralReport:
+    """Evaluate [T(n, |s|), i_n] on P_(n+2) in exact integer arithmetic.
 
-    Columns k <= n must vanish for the annihilating convention: that is
-    the particular-integral property.  Columns beyond P_n generally do
-    not vanish (the invariance is a property of the subspace, not of the
-    whole operator), and the trusted range excludes the truncated top
-    column k = dim - 1.
+    Columns k <= n must vanish: that is the particular-integral property.
+    Column n + 1 generally does not (the invariance is a property of the
+    subspace, not of the whole operator); the truncated top column
+    k = n + 2 is not trusted.
     """
-    a = abs(int(s))
-    d = n + 3 if dim is None else dim
-    if d < n + 3:
-        raise ValueError("need dim >= n + 3 to see one column beyond P_n")
-    t = build_T_direct(n, a, dim=d)
-    i_op = build_annihilator(n, dim=d, sign=sign)
+    d = n + 3
+    t = build_T_direct(n, abs(int(s)), dim=d)
+    i_op = build_annihilator(n, dim=d)
     bound = (int(np.max(np.abs(t))) + 1) * (int(np.max(np.abs(i_op))) + 1) * 2
     if bound >= _INT64_SAFE:
         raise ValueError("commutator entries may overflow int64; reduce n")
     c = t @ i_op - i_op @ t
-    on_pn = int(np.max(np.abs(c[:, :n + 1])))
-    beyond_cols = c[:, n + 1:d - 1]
-    beyond = int(np.max(np.abs(beyond_cols))) if beyond_cols.size else 0
-    return ParticularIntegralReport(n=n, s_abs=a, sign=sign, dim=d,
-                                    max_abs_on_pn=on_pn, max_abs_beyond=beyond)
+    return ParticularIntegralReport(
+        max_abs_on_pn=int(np.max(np.abs(c[:, :n + 1]))),
+        max_abs_beyond=int(np.max(np.abs(c[:, n + 1:d - 1]))))
 
 
-def gauge_rotated_action(pair: EigenPair, grid, sign: int = -1) -> np.ndarray:
+def gauge_rotated_action(pair: EigenPair, grid) -> np.ndarray:
     """Samples of the gauge-dressed annihilator acting on the dressed state.
 
     The dressed operator is zeta0 i_n zeta0^{-1} with zeta0 =
     exp(-r^2/4) r^|s|, so its action on zeta = zeta0 p is exactly
     zeta0 (i_n p): apply the diagonal i_n to the coefficients, then
     multiply by the sampled gauge factor.  No numerical differentiation
-    is involved.  For sign = -1 and an eigenpair polynomial (degree <= n)
-    the result is identically zero.
+    is involved.  For an eigenpair polynomial (degree <= n) the result is
+    identically zero.
     """
     r = np.asarray(grid, dtype=float)
     n = pair.point.n
     a = abs(pair.point.s)
     coeffs = np.asarray(pair.polynomial.coeffs, dtype=float)
-    ann = build_annihilator(n, dim=len(coeffs), sign=sign)
+    ann = build_annihilator(n, dim=len(coeffs))
     image = ann.astype(float) @ coeffs
     zeta0 = np.exp(-0.25 * r * r) * np.power(r, a)
     return zeta0 * evaluate(Polynomial(tuple(image)), r)

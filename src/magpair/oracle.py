@@ -35,7 +35,6 @@ from scipy.linalg import eigh_tridiagonal
 from .qes import eigenfunction
 
 __all__ = [
-    "ConvergenceError",
     "DEFAULT_NUM_POINTS",
     "MatchReport",
     "MatchRow",
@@ -50,10 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_NUM_POINTS = 3001
-
-
-class ConvergenceError(RuntimeError):
-    """Grid refinement moved an eigenvalue by more than 10x the tolerance."""
 
 
 class MismatchError(RuntimeError):
@@ -87,7 +82,7 @@ class RadialGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.num_points)
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
+    def refined(self, factor: int) -> "RadialGrid":
         """Same interval with the step divided by an integer factor."""
         return RadialGrid(self.r_min, self.r_max,
                           factor * (self.num_points - 1) + 1)
@@ -144,18 +139,12 @@ def _count_sign_changes(vec: np.ndarray, rel_floor: float = 1e-8) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
-def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None,
-                      num_branches: int | None = None,
-                      kappa_window: tuple[float, float] | None = None,
-                      convergence_tol: float | None = None) -> OracleResult:
+def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleResult:
     """Coupling eigenvalues and eigenvectors of the discretized pencil.
 
-    By default returns the num_branches (= n + 1) largest kappa values in
+    Returns the n + 1 largest kappa values, the polynomial block, in
     ascending order, with node counts of the back-transformed vectors.
-    kappa_window = (lo, hi) selects all eigenvalues in a window instead.
-    With convergence_tol set, the solve is repeated on a half-step grid
-    and ConvergenceError is raised when any selected kappa moves by more
-    than 10 * convergence_tol (the window variant does not support this).
+    The grid must carry at least n + 1 interior nodes.
     """
     if n < 0 or int(n) != n:
         raise ValueError("n must be a nonnegative integer")
@@ -164,37 +153,19 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None,
     if grid.r_max < _min_r_max(n, s) - 1e-12:
         raise ValueError(
             f"r_max {grid.r_max} below the admissible minimum {_min_r_max(n, s)}")
-    if kappa_window is not None and convergence_tol is not None:
-        raise ValueError("convergence check applies to branch-count selection only")
 
     e_n, ri, sub, diag, sup = _assemble(n, s, grid)
     m = len(ri)
+    if m < n + 1:
+        raise ValueError(f"{m} interior nodes cannot carry n + 1 = {n + 1} branches")
     # r_i >= r_min + h > h/2 on every interior node, so sub > 0 and sup > 0
     off = np.sqrt(sub[1:] * sup[:-1])
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
-
-    if kappa_window is not None:
-        w, v = eigh_tridiagonal(diag, off, select="v",
-                                select_range=kappa_window)
-    else:
-        nb = n + 1 if num_branches is None else int(num_branches)
-        if not (1 <= nb <= m):
-            raise ValueError("num_branches outside 1..interior size")
-        w, v = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(m - nb, m - 1))
+    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(m - n - 1, m - 1))
     vectors = scale[:, None] * v
     nodes = tuple(_count_sign_changes(vectors[:, k]) for k in range(vectors.shape[1]))
-    result = OracleResult(n=n, s=int(s), e_n=e_n, grid=grid, r=ri,
-                          kappas=w, vectors=vectors, node_counts=nodes)
-
-    if convergence_tol is not None:
-        fine = fd_kappa_spectrum(n, s, grid.refined(), num_branches=num_branches)
-        drift = float(np.max(np.abs(result.kappas - fine.kappas)))
-        if drift > 10.0 * convergence_tol:
-            raise ConvergenceError(
-                f"kappa moved by {drift:.3e} under step halving "
-                f"(> 10 * {convergence_tol:.1e})")
-    return result
+    return OracleResult(n=n, s=int(s), e_n=e_n, grid=grid, r=ri,
+                        kappas=w, vectors=vectors, node_counts=nodes)
 
 
 @dataclass(frozen=True)
@@ -209,9 +180,6 @@ class MatchRow:
 
 @dataclass(frozen=True)
 class MatchReport:
-    n: int
-    s: int
-    tol: float
     rows: tuple[MatchRow, ...]
 
     @property
@@ -239,9 +207,8 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
         pt = pair.point
         if pt.n != result.n or pt.s != result.s:
             raise ValueError("algebraic point belongs to a different (n, s)")
+        # n + 1 oracle branches outnumber the (n + 1) // 2 physical ones
         free = [i for i in range(len(result.kappas)) if i not in used]
-        if not free:
-            raise MismatchError(f"no oracle eigenvalue left for branch j = {pt.j}")
         i = min(free, key=lambda k: abs(result.kappas[k] - pt.kappa))
         err = abs(float(result.kappas[i]) - pt.kappa)
         if err > tol:
@@ -253,15 +220,13 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
                              kappa_fd=float(result.kappas[i]), abs_err=err,
                              nodes_alg=pair.nodes,
                              nodes_fd=result.node_counts[i]))
-    return MatchReport(n=result.n, s=result.s, tol=tol, rows=tuple(rows))
+    return MatchReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class OrderReport:
     """Observed convergence order per branch from two step halvings."""
 
-    n: int
-    s: int
     orders: tuple[float, ...]     # per branch, ascending kappa; inf = converged
     kappas_finest: np.ndarray
 
@@ -290,4 +255,4 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
             orders.append(math.inf)
         else:
             orders.append(float(np.log2(d1 / d2)))
-    return OrderReport(n=n, s=int(s), orders=tuple(orders), kappas_finest=k2)
+    return OrderReport(orders=tuple(orders), kappas_finest=k2)

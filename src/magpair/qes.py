@@ -42,7 +42,6 @@ __all__ = [
     "dimensionless_energy",
     "eigenfunction",
     "field_quantization",
-    "residual",
     "secular_spectrum",
 ]
 
@@ -272,13 +271,6 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
     if point.n != n or point.s != s:
         raise ValueError("spectral point belongs to a different (n, s)")
     return Sector(n, s).pair(point)
-
-
-def residual(pair: EigenPair) -> float:
-    """Backward error of an eigenpair against the integer operator."""
-    n, a = pair.point.n, abs(pair.point.s)
-    return _coefficient_residual(np.asarray(pair.polynomial.coeffs),
-                                 build_T_direct(n, a), pair.point.kappa)
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:

@@ -64,8 +64,6 @@ def jminus(N: int) -> np.ndarray:
 class CommutatorReport:
     """Exact deviations of the sl(2) relations on the trusted columns."""
 
-    n: int
-    dim: int
     deviations: dict
 
     @property
@@ -93,7 +91,7 @@ def commutator_check(n: int, N: int) -> CommutatorReport:
     }
     trusted = slice(0, N - 1)  # columns 0 .. N-2
     devs = {label: float(np.max(np.abs(c[:, trusted]))) for label, c in residues.items()}
-    return CommutatorReport(n=n, dim=N + 1, deviations=devs)
+    return CommutatorReport(deviations=devs)
 
 
 def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
@@ -117,7 +115,7 @@ def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     return np.diag(sub, -1) + np.diag(sup, 1)
 
 
-def build_T_algebraic(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
+def build_T_algebraic(n: int, s_abs: int) -> np.ndarray:
     """Coupling operator assembled from the generators:
 
         T = -J0_n J- + J+_n - (1 + 2 |s| + n/2) J-
@@ -130,14 +128,9 @@ def build_T_algebraic(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     """
     if s_abs < 0:
         raise ValueError("s_abs must be nonnegative")
-    _validate(n, 0)
-    d = n + 1 if dim is None else dim
-    if d < 1:
-        raise ValueError("dim must be positive")
-    N = d - 1
-    jp = jplus(n, N).astype(float)
-    j0 = jzero(n, N)
-    jm = jminus(N).astype(float)
+    jp = jplus(n).astype(float)
+    j0 = jzero(n)
+    jm = jminus(n).astype(float)
     m = -j0 @ jm + jp - (1.0 + 2.0 * s_abs + n / 2.0) * jm
     if not np.array_equal(m, np.rint(m)):
         raise AssertionError("algebraic assembly produced non-integer entries")

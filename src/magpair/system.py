@@ -93,11 +93,11 @@ class DerivedParams:
         return {k: getattr(self, k) for k in fields}
 
 
-def _is_neutral(e1: float, e2: float, tol_rel: float) -> bool:
-    return abs(e1 + e2) <= tol_rel * max(abs(e1), abs(e2))
+def _is_neutral(e1: float, e2: float) -> bool:
+    return abs(e1 + e2) <= TOL_REL * max(abs(e1), abs(e2))
 
 
-def derive(pair: ChargePair, tol_rel: float = TOL_REL) -> DerivedParams:
+def derive(pair: ChargePair) -> DerivedParams:
     """Compute the derived scales of a charge pair.
 
     Conventions:
@@ -117,7 +117,7 @@ def derive(pair: ChargePair, tol_rel: float = TOL_REL) -> DerivedParams:
     interpret.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
-    if _is_neutral(e1, e2, tol_rel) and e1 < 0:
+    if _is_neutral(e1, e2) and e1 < 0:
         e1, e2, m1, m2 = e2, e1, m2, m1
 
     M = m1 + m2
@@ -128,9 +128,9 @@ def derive(pair: ChargePair, tol_rel: float = TOL_REL) -> DerivedParams:
     qw = e1 * mu2 ** 2 + e2 * mu1 ** 2
     omega_c = q * B / M
 
-    neutral = _is_neutral(e1, e2, tol_rel)
+    neutral = _is_neutral(e1, e2)
     equal_larmor = (not neutral) and (
-        abs(ec) <= tol_rel * max(abs(e1 * mu2), abs(e2 * mu1)))
+        abs(ec) <= TOL_REL * max(abs(e1 * mu2), abs(e2 * mu1)))
 
     Omega_q: float | None = None
     omega_q: float | None = None
@@ -150,15 +150,15 @@ def derive(pair: ChargePair, tol_rel: float = TOL_REL) -> DerivedParams:
                          Omega_q=Omega_q, omega_q=omega_q, B0=B0, b=b)
 
 
-def classify(dp: DerivedParams, tol_rel: float = TOL_REL) -> CaseTag:
+def classify(dp: DerivedParams) -> CaseTag:
     """Case tag from derived parameters.
 
     Neutral: |q| small against max(|e1|, |e2|).
     EqualLarmor: |ec| small against max(|e1 mu2|, |e2 mu1|).
     Neutral wins if both tests pass.
     """
-    if abs(dp.q) <= tol_rel * max(abs(dp.e1), abs(dp.e2)):
+    if abs(dp.q) <= TOL_REL * max(abs(dp.e1), abs(dp.e2)):
         return CaseTag.NEUTRAL
-    if abs(dp.ec) <= tol_rel * max(abs(dp.e1 * dp.mu2), abs(dp.e2 * dp.mu1)):
+    if abs(dp.ec) <= TOL_REL * max(abs(dp.e1 * dp.mu2), abs(dp.e2 * dp.mu1)):
         return CaseTag.EQUAL_LARMOR
     return CaseTag.GENERIC

@@ -37,9 +37,8 @@ def test_degree_zero_conventions_coincide():
 
 def test_diagonal_entries_explicit():
     assert build_annihilator(0, dim=3).diagonal().tolist() == [0, 1, 2]
-    plus = build_annihilator(2, dim=4, sign=+1).diagonal()
-    assert plus.tolist() == [0, 6, 24, 60]  # k (k+1) (k+2)
-    minus = build_annihilator(2, dim=4, sign=-1).diagonal()
+    assert annihilation_check(2).max_abs_plus == 24  # k (k+1) (k+2), k <= 2
+    minus = build_annihilator(2, dim=4).diagonal()
     assert minus.tolist() == [0, 0, 0, 6]   # k (k-1) (k-2)
     assert minus.dtype == np.int64
 
@@ -49,26 +48,19 @@ def test_commutator_vanishes_exactly_on_pn():
         for s in (0, 2, 5):
             report = commutator_particular_check(n, s)
             assert report.max_abs_on_pn == 0
-            assert report.sign == -1 and report.s_abs == s
             if n >= 1:
                 assert report.max_abs_beyond > 0
 
 
 def test_commutator_spot_magnitudes():
     assert commutator_particular_check(5, 2).max_abs_beyond == 43200
-    plus = commutator_particular_check(3, 1, sign=+1)
-    assert plus.max_abs_on_pn == 3600
 
 
 def test_dimension_and_sign_guards():
     with pytest.raises(ValueError):
-        commutator_particular_check(2, 0, dim=4)  # needs n + 3
-    with pytest.raises(ValueError):
         build_annihilator(2, dim=0)
     with pytest.raises(ValueError):
         build_annihilator(-1)
-    with pytest.raises(ValueError):
-        build_annihilator(2, sign=0)
 
 
 def test_overflow_guard():
@@ -98,10 +90,3 @@ def test_dressed_action_sees_nonmembers():
     # only the rho^3 component survives i_2, with weight 3!
     want = (np.exp(-0.25 * grid ** 2) * math.factorial(3) * grid ** 3)
     assert np.allclose(out, want, rtol=1e-13, atol=0.0)
-
-
-def test_dressed_action_plus_sign_does_not_annihilate():
-    grid = np.linspace(0.25, 12.0, 48)
-    pair = eigenfunction(2, 0, secular_spectrum(2, 0, EL)[0])
-    out = gauge_rotated_action(pair, grid, sign=+1)
-    assert np.max(np.abs(out)) > 0.0

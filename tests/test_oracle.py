@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from magpair.oracle import (
-    ConvergenceError,
     MismatchError,
     RadialGrid,
     convergence_order,
@@ -90,34 +89,12 @@ def test_mismatch_raised_at_unreachable_tolerance():
         oracle_match(secular_spectrum(2, 0, EL), res, tol=1e-12)
 
 
-def test_convergence_guard_trips_on_any_practical_grid():
-    with pytest.raises(ConvergenceError):
-        fd_kappa_spectrum(2, 0, default_grid(2, 0, num_points=201),
-                          convergence_tol=1e-12)
-
-
-def test_window_selection():
-    res = fd_kappa_spectrum(1, 0, default_grid(1, 0, num_points=1001),
-                            kappa_window=(0.5, 1.5))
-    assert len(res.kappas) == 1
-    assert res.kappas[0] == pytest.approx(1.0, abs=1e-3)
-    assert res.node_counts == (0,)
-
-
-def test_window_excludes_convergence_check():
-    with pytest.raises(ValueError):
-        fd_kappa_spectrum(1, 0, default_grid(1, 0, 501),
-                          kappa_window=(0.5, 1.5), convergence_tol=1e-6)
-
-
 def test_branch_count_bounds():
-    grid = RadialGrid(1e-2, 10.0, 101)
+    # the grid must carry the n + 1 branches: 16 points leave 14 interior
     with pytest.raises(ValueError):
-        fd_kappa_spectrum(1, 0, grid, num_branches=0)
-    with pytest.raises(ValueError):
-        fd_kappa_spectrum(1, 0, grid, num_branches=100)  # interior size is 99
-    res = fd_kappa_spectrum(1, 0, grid, num_branches=5)
-    assert len(res.kappas) == 5
+        fd_kappa_spectrum(20, 0, RadialGrid(1e-3, 13.0, 16))
+    res = fd_kappa_spectrum(13, 0, RadialGrid(1e-3, 11.0, 16))
+    assert len(res.kappas) == 14
 
 
 def test_domain_too_small_is_rejected():

@@ -15,7 +15,6 @@ from magpair.qes import (
     dimensionless_energy,
     eigenfunction,
     field_quantization,
-    residual,
     secular_spectrum,
 )
 from magpair.system import CaseTag, ChargePair, derive
@@ -77,7 +76,6 @@ def test_eigenpairs_basic_shape():
             assert pair.polynomial.degree == n or n == 0
             assert pair.polynomial.coeffs[0] == 1.0
             assert pair.residual <= 1e-12
-            assert residual(pair) == pair.residual
 
 
 def test_sector_serves_both_signs_and_cases():
@@ -222,10 +220,21 @@ def test_wavefunction_grid_validation():
 
 
 def test_residual_interface_guards():
-    # the residual reads n, |s| and kappa from the pair itself
+    # the residual depends on n, |s| and kappa only, not on the sign of s
     pos = eigenfunction(2, 1, physical(2, 1)[0])
     neg = eigenfunction(2, -1, physical(2, -1)[0])
-    assert residual(pos) == pos.residual == residual(neg) == neg.residual
+    assert pos.residual == neg.residual
+    # witness from the documented bands of T, without building T:
+    # T rho^k = (k - n) rho^(k+1) - k (k + 2|s|) rho^(k-1)
+    n, a = 2, 1
+    c = np.asarray(pos.polynomial.coeffs)
+    k = np.arange(n + 1)
+    tc = np.zeros(n + 1)
+    tc[1:] += (k[:-1] - n) * c[:-1]
+    tc[:-1] -= k[1:] * (k[1:] + 2 * a) * c[1:]
+    witness = np.max(np.abs(tc + pos.point.kappa * c)) / np.max(np.abs(c))
+    # the two roundings may differ in the last bits; a wrong band is O(1)
+    assert pos.residual == pytest.approx(witness, rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 20])
