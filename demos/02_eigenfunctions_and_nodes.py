@@ -2,9 +2,10 @@
 """Polynomial eigenfunctions and their node ladders.
 
 Every physical branch at degree n comes with an explicit polynomial
-factor p(rho), normalized to p(0) = 1.  The number of positive roots of
-p orders the branches like an oscillation theorem: across the physical
-branches of one n the node counts fill 0, 1, ..., floor((n-1)/2).
+factor p(rho), normalized to p(0) = 1.  By the oscillation theorem the
+number of positive roots of p is the number of couplings of the sector
+above kappa, so across the physical branches of one n the node counts
+fill 0, 1, ..., floor((n-1)/2).
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ def main():
             if not p.physical:
                 continue
             pair = sector.pair(p)
-            print(f"  j = {p.j}  lambda = {p.lam:12.8f}  nodes = {pair.nodes}"
+            print(f"  j = {p.j}  lambda = {p.lam:12.8f}  nodes = {p.nodes}"
                   f"  residual = {pair.residual:.1e}")
             print(f"      p(rho) = {poly_text(pair.polynomial.coeffs)}")
         print()

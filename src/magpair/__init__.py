@@ -9,8 +9,7 @@ finite-difference oracle, and covers the center-of-mass Landau sector.
 """
 
 from .system import CaseTag, ChargePair, DerivedParams, classify, derive
-from .polyops import (DegenerateRootError, Polynomial, count_positive_roots,
-                      evaluate, parity_flip)
+from .polyops import Polynomial, evaluate, parity_flip
 from .sl2rep import (CommutatorReport, build_T_algebraic, build_T_direct,
                      commutator_check, jminus, jplus, jzero)
 from .qes import (EigenPair, IllConditionedError, NonNormalizableError,
@@ -34,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnihilationReport", "BranchComparison", "CMSample", "CMState",
     "CaseTag", "CatalogComparison", "ChargePair", "ClosedFormAux",
-    "CommutatorReport", "DegenerateRootError",
-    "DerivedParams", "EigenPair", "IllConditionedError", "MatchReport",
+    "CommutatorReport", "DerivedParams", "EigenPair", "IllConditionedError",
+    "MatchReport",
     "MismatchError", "NonNormalizableError", "OracleResult", "OrderReport",
     "ParticularIntegralReport", "Polynomial", "RadialGrid", "RadialSample",
     "Sector", "SpectralPoint", "ZeroCouplingError", "annihilation_check",
@@ -45,7 +44,7 @@ __all__ = [
     "closed_form_lambdas", "cm_energy", "cm_wavefunction",
     "commutator_check", "commutator_particular_check",
     "compare_catalog_with_solver", "convergence_order",
-    "count_positive_roots", "default_grid", "derive", "dimensionless_energy",
+    "default_grid", "derive", "dimensionless_energy",
     "eigenfunction", "evaluate", "fd_kappa_spectrum", "field_quantization",
     "gauge_rotated_action", "jminus", "jplus", "jzero", "laguerre",
     "oracle_match", "parity_flip", "pseudomomentum_sq", "secular_spectrum",

@@ -4,7 +4,7 @@ verification suite, and center-of-mass Landau tables.
 Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 solver
-ill-conditioning.
+failure (ill-conditioned or non-normalizable eigenvector).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -29,8 +30,13 @@ from .integrals import (
     gauge_rotated_action,
 )
 from .landau import CMState, casimir_identity_check, cm_energy, pseudomomentum_sq
-from .oracle import convergence_order, fd_kappa_spectrum, oracle_match
-from .polyops import DegenerateRootError, parity_flip
+from .oracle import (
+    convergence_order,
+    default_grid,
+    fd_kappa_spectrum,
+    oracle_match,
+)
+from .polyops import parity_flip
 from .qes import (
     MAX_DEGREE,
     IllConditionedError,
@@ -168,14 +174,9 @@ def _cmd_spectrum(args) -> str:
         header.append("B")
     rows = []
     for n in ns:
-        sectors = {a: Sector(n, a) for a in sorted({abs(s) for s in ss})}
         for s in ss:
             cf = closed_form_lambdas(n, s) if n <= 8 else ()
             for p in secular_spectrum(n, s, case, dp):
-                try:
-                    nodes = sectors[abs(s)].pair(p).nodes
-                except (NonNormalizableError, DegenerateRootError):
-                    nodes = None
                 lam_cf = delta = None
                 if cf:
                     best = min(cf, key=lambda v: abs(p.lam - v))
@@ -183,7 +184,7 @@ def _cmd_spectrum(args) -> str:
                         lam_cf, delta = best, p.lam - best
                 row = {"n": n, "s": s, "j": p.j, "lambda": p.lam,
                        "kappa": p.kappa, "b": p.b, "energy": p.energy,
-                       "nodes": nodes, "physical": p.physical,
+                       "nodes": p.nodes, "physical": p.physical,
                        "lambda_closed_form": lam_cf, "delta": delta}
                 if dp is not None:
                     row["B"] = None if p.b is None else p.b * dp.B0
@@ -202,8 +203,8 @@ def _cmd_wavefunction(args) -> str:
     dp = _derived_or_none(args, case)
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
-    if not args.r_max > 0.0:
-        raise _UsageError("--r-max must be positive")
+    if not (math.isfinite(args.r_max) and args.r_max > 0.0):
+        raise _UsageError("--r-max must be positive and finite")
 
     match = [p for p in secular_spectrum(n, s, case, dp)
              if p.physical and p.j == args.j]
@@ -392,13 +393,17 @@ def _checks_nodes(ns, ss) -> list[Check]:
     saw56 = False
     for n in ns:
         for s in ss:
-            pts = [p for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
-                   if p.physical]
-            sector = Sector(n, s)
-            pairs = {p.j: sector.pair(p) for p in pts}
+            # node counts of the finite-difference eigenvectors, so that the
+            # section does not rest on the rank it checks
+            fd = fd_kappa_spectrum(n, s, default_grid(n, s, 801))
+            counts = {}
+            for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
+                if p.physical:
+                    i = int(np.argmin(np.abs(fd.kappas - p.kappa)))
+                    counts[p] = fd.node_counts[i]
             # n = 0 has no physical branch and an empty ladder
-            if sorted(e.nodes for e in pairs.values()) \
-                    != list(range((n - 1) // 2 + 1)):
+            if sorted(counts.values()) != list(range((n - 1) // 2 + 1)) \
+                    or any(c != p.nodes for p, c in counts.items()):
                 bad_ladder += 1.0
             if n in (5, 6):
                 # the closed-form branch labels are the printed ones, not
@@ -407,9 +412,8 @@ def _checks_nodes(ns, ss) -> list[Check]:
                 saw56 = True
                 lams = closed_form_lambdas(n, s)
                 for want, jc in enumerate((1, 3, 2)):
-                    near = min(pairs.values(),
-                               key=lambda e: abs(e.point.lam - lams[jc - 1]))
-                    if near.nodes != want:
+                    near = min(counts, key=lambda p: abs(p.lam - lams[jc - 1]))
+                    if counts[near] != want:
                         bad_map += 1.0
     out = [Check("nodes", f"ladder 0..floor((n-1)/2) {_span('n', ns)}",
                  bad_ladder, 0.0, "<=")]
@@ -575,6 +579,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
     ns = None if args.n is None else _parse_range(args.n, 0, MAX_DEGREE, "--n")
     ss = None if args.s is None else _parse_range(args.s, -MAX_DEGREE,
                                                   MAX_DEGREE, "--s")
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise _UsageError("--tol must be finite")
     checks = run_verification(ns, ss, args.only, args.tol)
     header = ["section", "name", "measured", "tolerance", "direction",
               "status"]
@@ -682,7 +688,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"magpair: error: {exc}", file=sys.stderr)
         return 2
-    except IllConditionedError as exc:
+    except (IllConditionedError, NonNormalizableError) as exc:
         print(f"magpair: solver failure: {exc}", file=sys.stderr)
         return 3
     _emit(text, args.out)

@@ -197,7 +197,9 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
     points holds the SpectralPoints of one (n, s), as secular_spectrum
     returns them; only physical branches participate.  Every physical
     kappa must find a distinct oracle partner within tol, else
-    MismatchError.  Node counts of both sides ride along in the report.
+    MismatchError.  Node counts of both sides ride along in the report:
+    the algebraic one is the point's rank, the oracle one counts sign
+    changes of the discrete eigenvector.
     With no physical branch (n = 0) the match is vacuous.
     """
     rows = []
@@ -218,7 +220,7 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
         used.add(i)
         rows.append(MatchRow(j=pt.j, kappa_alg=pt.kappa,
                              kappa_fd=float(result.kappas[i]), abs_err=err,
-                             nodes_alg=pair.nodes,
+                             nodes_alg=pt.nodes,
                              nodes_fd=result.node_counts[i]))
     return MatchReport(rows=tuple(rows))
 

@@ -15,17 +15,37 @@ Spectral conventions used everywhere downstream:
   physical branches: kappa > 0 for EqualLarmor, kappa < 0 for Neutral
   j = 1, 2, ... ranks physical branches by descending lambda; j = 0 marks
   retained unphysical and zero-coupling branches
+  nodes = number of couplings of the (n, |s|) sector above kappa
+
+Node counts need no root finding.  Multiplied by 2 rho, the radial
+equation is the regular Sturm-Liouville problem
+
+    -(rho zeta')' + (s^2/rho + rho^3/4 - 2 E rho) zeta = mu zeta,  mu = -kappa,
+
+with weight 1 and regularity at the origin.  The potential grows without
+bound, so the spectrum is discrete and bounded below, and by the
+oscillation theorem (Courant-Hilbert vol. I ch. VI; Zettl, Sturm-Liouville
+Theory, AMS 2005) the eigenfunction of the k-th eigenvalue mu_k (k = 0, 1,
+... in ascending order) has exactly k zeros in (0, inf).  Each of the
+n + 1 polynomial solutions zeta = exp(-rho^2/4) rho^|s| p(rho) is such an
+eigenfunction; their kappa are distinct because T is unreduced, and each
+has at most n positive zeros.  Their zero counts are therefore exactly
+0, 1, ..., n, in the order of descending kappa, and they are the n + 1
+lowest mu.  With the mirror p_{-kappa}(rho) = p_kappa(-rho) it
+follows that all n roots of p are real and simple and that
+nodes(kappa) + nodes(-kappa) = n.  The rho^0 coefficient is never zero
+(the first component of an eigenvector of an unreduced tridiagonal matrix
+is nonzero), so no root sits at the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .polyops import Polynomial, count_positive_roots, evaluate
+from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
 from .system import CaseTag, DerivedParams, classify
 
@@ -66,7 +86,11 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One root of the secular problem at fixed (n, s)."""
+    """One root of the secular problem at fixed (n, s).
+
+    nodes is the number of positive roots of its eigenpolynomial, read off
+    its rank in the sector's spectrum (see the module docstring).
+    """
 
     n: int
     s: int
@@ -77,6 +101,7 @@ class SpectralPoint:
     energy: float
     case: CaseTag
     physical: bool
+    nodes: int
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; lam is serialized under the key "lambda"."""
@@ -84,27 +109,18 @@ class SpectralPoint:
             "n": self.n, "s": self.s, "j": self.j, "lambda": self.lam,
             "kappa": self.kappa, "b": self.b, "energy": self.energy,
             "case": self.case.value, "physical": self.physical,
+            "nodes": self.nodes,
         }
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Spectral point with its polynomial, backward error and node count."""
+    """Spectral point with its polynomial and backward error; the node
+    count is point.nodes."""
 
     point: SpectralPoint
     polynomial: Polynomial
     residual: float
-
-    @cached_property
-    def nodes(self) -> int:
-        """Positive-root count by an integer Sturm sequence, computed on
-        first read (which may raise DegenerateRootError).
-
-        Exact for the stored float64 coefficients; above n ~ 20 those can
-        be far enough from the true eigenpolynomial that the count is not
-        certified (ROADMAP item 3).
-        """
-        return count_positive_roots(self.polynomial)
 
 
 @dataclass(frozen=True)
@@ -174,9 +190,10 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     Points are sorted by descending lambda with ties broken by ascending
     kappa; physical branches (see the module docstring for the sign
     convention per case) get j = 1, 2, ...; unphysical and zero-coupling
-    branches are retained with j = 0.  The exact zero mode of even n is
-    snapped to kappa = 0.0.  dp, when given, must classify to `case` and
-    makes the energies dimensionful.
+    branches are retained with j = 0.  Each point's node count is n - i,
+    i its index in ascending kappa (oscillation theorem, module docstring).
+    The exact zero mode of even n is snapped to kappa = 0.0.  dp, when
+    given, must classify to `case` and makes the energies dimensionful.
 
     Conjugating T by diag((-1)^k) gives exactly -T (the diagonal is zero),
     so the coupling spectrum is symmetric under kappa -> -kappa.  Mirrored
@@ -208,7 +225,7 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
 
     points: list[SpectralPoint] = []
     j = 0
-    for i in order:
+    for i in order:  # i indexes kappa in ascending order
         lam, kap = raw[i]
         if case is CaseTag.EQUAL_LARMOR:
             physical = kap > 0.0
@@ -219,7 +236,7 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
         points.append(SpectralPoint(
             n=n, s=int(s), j=j if physical else 0, kappa=kap, lam=lam,
             b=(1.0 / lam) if lam > 0.0 else None, energy=energy,
-            case=case, physical=physical))
+            case=case, physical=physical, nodes=n - i))
     return points
 
 
@@ -296,7 +313,8 @@ def assemble_wavefunction(pair: EigenPair, grid,
 
     In the scaled radial variable both solvable cases share this profile;
     dp is only used to cross-check the case when provided.  The grid must
-    be ascending and nonnegative.
+    be ascending and nonnegative.  Where the Gaussian underflows to 0 the
+    profile is 0, whatever the polynomial factor.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
@@ -306,6 +324,11 @@ def assemble_wavefunction(pair: EigenPair, grid,
     if dp is not None and classify(dp) is not pair.point.case:
         raise ValueError("derived parameters belong to a different case")
     a = abs(pair.point.s)
-    zeta = np.exp(-0.25 * r * r) * np.power(r, a) * evaluate(pair.polynomial, r)
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-0.25 * r * r)
+    live = gauss > 0.0
+    zeta = np.zeros_like(r)
+    x = r[live]
+    zeta[live] = gauss[live] * np.power(x, a) * evaluate(pair.polynomial, x)
     return RadialSample(rho=r, zeta=zeta, s_abs=a, gauss_coefficient=0.25,
                         point=pair.point)

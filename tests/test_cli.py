@@ -9,9 +9,7 @@ import time
 import pytest
 
 from magpair import cli, qes
-from magpair.polyops import DegenerateRootError
 from magpair.qes import IllConditionedError
-from magpair.system import CaseTag
 
 SQ6 = math.sqrt(6.0)
 
@@ -126,35 +124,51 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
 
 
 def test_spectrum_solves_each_sector_once(capsys, monkeypatch):
-    # one eigenvalue-only solve for the spectrum, one vector solve for all
-    # seven eigenpairs
+    # one eigenvalue-only solve; node counts come from the sorted spectrum,
+    # so no eigenvector is needed
     calls, real = [], qes.eigh_tridiagonal
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
         kw.get("eigvals_only", False)) or real(*a, **kw))
     code, _, _ = run(capsys, "spectrum", "--n", "6", "--s", "1")
-    assert code == 0 and sorted(calls) == [False, True]
+    assert code == 0 and calls == [True]
 
 
-def test_residuals_section_never_counts_nodes(capsys, monkeypatch):
-    monkeypatch.delattr(qes, "count_positive_roots")
-    code, out, _ = run(capsys, "verify", "--only", "residuals")
-    assert code == 0 and "FAIL" not in out
-
-
-def test_spectrum_blanks_only_the_degenerate_row(capsys, monkeypatch):
-    point = qes.secular_spectrum(3, 0, CaseTag.EQUAL_LARMOR)[1]
-    bad = qes.eigenfunction(3, 0, point).polynomial
-    real = qes.count_positive_roots
-
-    def count(p):
-        if p == bad:
-            raise DegenerateRootError("synthetic")
-        return real(p)
-    monkeypatch.setattr(qes, "count_positive_roots", count)
-    code, out, _ = run(capsys, "spectrum", "--n", "3", "--s", "0")
+def test_spectrum_counts_nodes_up_to_the_largest_degree(capsys):
+    code, out, err = run(capsys, "spectrum", "--n", "48", "--s", "5")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "spectrum", "--case", "q0", "--n", "64")
     header, rows = parse_csv(out)
     nodes = [r[header.index("nodes")] for r in rows]
-    assert code == 0 and [i for i, x in enumerate(nodes) if x == ""] == [1]
+    assert code == 0 and len(rows) == 65 and "" not in nodes
+    # the neutral branches j = 1, 2, 3 carry 64, 63, 62 nodes
+    phys = [int(r[header.index("nodes")]) for r in rows
+            if r[header.index("physical")] == "true"]
+    assert phys[:3] == [64, 63, 62]
+
+
+def test_non_normalizable_eigenvector_is_a_solver_failure(capsys):
+    # at n = 64 the rho^0 component of the top branch's eigenvector is below
+    # 1e-12 of its largest component, so p(0) = 1 is not imposed
+    code, out, err = run(capsys, "wavefunction", "--n", "64", "--s", "0")
+    assert code == 3 and out == "" and "solver failure" in err
+
+
+def test_non_finite_input_is_rejected(capsys):
+    for argv in (("wavefunction", "--n", "2", "--r-max", "inf"),
+                 ("wavefunction", "--n", "2", "--r-max", "nan"),
+                 ("verify", "--only", "sl2", "--tol", "nan"),
+                 ("verify", "--only", "sl2", "--tol", "inf")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "finite" in err, argv
+
+
+def test_wavefunction_far_grid_is_zero_not_nan(capsys):
+    code, out, err = run(capsys, "wavefunction", "--n", "3", "--s", "2",
+                         "--r-max", "1e300", "--grid-points", "5",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [r["zeta"] for r in rows] == [0.0] * 5
 
 
 def test_landau_default_table(capsys):
@@ -241,9 +255,9 @@ def test_verify_names_state_the_swept_range(capsys):
 
 
 def test_spectrum_block_budget(capsys):
-    # every printed node count is an integer Sturm count: the block takes
-    # about 0.4 s in process on a 2-core VM, while rational remainder
-    # chains need about 53 s
+    # node counts are read off the sorted spectrum, so the block needs one
+    # eigenvalue-only solve per sector: about 0.02 s in process on a 2-core
+    # VM; any per-branch root counting would break the bound
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "spectrum", "--n", "0..16", "--s", "0..2")
     dt = time.perf_counter() - t0

@@ -15,8 +15,9 @@ from magpair.landau import (
     laguerre,
     pseudomomentum_sq,
 )
-from magpair.polyops import Polynomial, count_positive_roots
+from magpair.polyops import Polynomial
 from magpair.system import ChargePair, derive
+from sturm import count_positive_roots
 
 DYADIC = derive(ChargePair(2.0, 2.0, 2.0, 2.0, 2.0))  # q=4, M=4, omega_c=2
 

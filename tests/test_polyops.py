@@ -1,4 +1,4 @@
-"""Polynomial helpers: Horner evaluation, parity, exact root counting."""
+"""Polynomial helpers (Horner, parity) and the test-only root counter."""
 
 from fractions import Fraction
 
@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magpair.polyops import (
-    DegenerateRootError,
-    Polynomial,
-    ZERO_GUARD,
-    count_positive_roots,
-    evaluate,
-    parity_flip,
-)
+from magpair.polyops import Polynomial, evaluate, parity_flip
+from sturm import count_positive_roots
 
 coeff_lists = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -63,7 +57,7 @@ def test_parity_flip_evaluates_at_minus_x(coeffs, x):
         evaluate(p, -x), rel=1e-9, abs=1e-6)
 
 
-# ----------------------------------------------------------- root counting
+# ------------------------------------------ root counting (tests/sturm.py)
 
 def poly_from_roots(roots):
     """Exact expansion of prod (rho - r) over the rationals."""
@@ -106,22 +100,8 @@ def test_count_matches_constructed_roots(roots):
 
 
 def test_root_exactly_at_zero_is_degenerate():
-    with pytest.raises(DegenerateRootError):
+    with pytest.raises(ValueError):
         count_positive_roots(Polynomial((0.0, 1.0)))
-
-
-def test_root_inside_guard_band_is_degenerate():
-    # (rho - 1e-12)(rho - 1): root well inside the 1e-10 guard
-    p = poly_from_roots([Fraction(1, 10 ** 12), 1])
-    with pytest.raises(DegenerateRootError):
-        count_positive_roots(p)
-
-
-def test_root_just_outside_guard_band_counts():
-    # float64 1e-10 is slightly above the exact rational guard 1/10^10,
-    # so the root of rho - 1e-10 lands outside the band and must count
-    assert float(ZERO_GUARD) == pytest.approx(1e-10)
-    assert count_positive_roots(Polynomial((-1e-10, 1.0))) == 1
 
 
 def test_zero_polynomial_rejected():
@@ -131,164 +111,10 @@ def test_zero_polynomial_rejected():
 
 def test_high_degree_factored_case():
     # rho^2 (handled as degenerate: root at 0) versus shifted variant
-    with pytest.raises(DegenerateRootError):
+    with pytest.raises(ValueError):
         count_positive_roots(Polynomial((0.0, 0.0, 1.0)))
     # (rho^2 - 2)(rho^2 - 3)(rho + 5): positive roots sqrt(2), sqrt(3)
     p = poly_from_roots([-5])
     q = (6.0, 0.0, -5.0, 0.0, 1.0)  # (x^2 - 2)(x^2 - 3)
     coeffs = np.convolve(q, p.coeffs)
     assert count_positive_roots(Polynomial(tuple(coeffs))) == 2
-
-
-# ------------------------------------------- differential test vs rationals
-
-def _ref_trim(f: list[Fraction]) -> list[Fraction]:
-    out = list(f)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _ref_derivative(f: list[Fraction]) -> list[Fraction]:
-    if len(f) == 1:
-        return [Fraction(0)]
-    return [k * f[k] for k in range(1, len(f))]
-
-
-def _ref_divmod_exact(a: list[Fraction], b: list[Fraction]):
-    """Exact quotient and remainder of dense rational polynomials."""
-    b = _ref_trim(b)
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = _ref_trim(a)
-    db = len(b) - 1
-    if r == [Fraction(0)] or len(r) - 1 < db:
-        return [Fraction(0)], r
-    q = [Fraction(0)] * (len(r) - db)
-    while r != [Fraction(0)] and len(r) - 1 >= db:
-        dr = len(r) - 1
-        c = r[dr] / b[db]
-        q[dr - db] = c
-        for i in range(db + 1):
-            r[dr - db + i] -= c * b[i]
-        r = _ref_trim(r)  # the lead term cancels exactly over Q
-    return q, r
-
-
-def _ref_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _ref_trim(a), _ref_trim(b)
-    while b != [Fraction(0)]:
-        _, r = _ref_divmod_exact(a, b)
-        a, b = b, _ref_trim(r)
-    return a
-
-
-def _ref_eval_exact(f: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _ref_sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _ref_sign_at_plus_inf(f: list[Fraction]) -> int:
-    return _ref_sign(f[-1])
-
-
-def _ref_variations(signs) -> int:
-    prev, count = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _ref_sturm_chain(f: list[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain of a square-free polynomial."""
-    chain = [f, _ref_trim(_ref_derivative(f))]
-    while len(chain[-1]) > 1:
-        _, r = _ref_divmod_exact(chain[-2], chain[-1])
-        r = _ref_trim(r)
-        if r == [Fraction(0)]:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def reference_count(p: Polynomial) -> int:
-    """The rational Sturm count on the square-free part: the slow reference.
-
-    This is the counter magpair used before it moved to integer Sturm
-    sequences, kept as it was apart from the names.
-    """
-    f = _ref_trim([Fraction(c) for c in p.coeffs])
-    if f == [Fraction(0)]:
-        raise ValueError("the zero polynomial has no root count")
-    if f[0] == 0:
-        raise DegenerateRootError("root exactly at rho = 0")
-    g = _ref_gcd(f, _ref_trim(_ref_derivative(f)))
-    sqfree, rem = _ref_divmod_exact(f, g)
-    if _ref_trim(rem) != [Fraction(0)]:
-        raise AssertionError("square-free reduction left a remainder")
-    sqfree = _ref_trim(sqfree)
-    chain = _ref_sturm_chain(sqfree)
-
-    lo, hi = -ZERO_GUARD, ZERO_GUARD
-    if _ref_eval_exact(sqfree, lo) == 0 or _ref_eval_exact(sqfree, hi) == 0:
-        raise DegenerateRootError("root on the guard-band edge near rho = 0")
-    v_lo = _ref_variations([_ref_sign(_ref_eval_exact(q, lo)) for q in chain])
-    v_hi = _ref_variations([_ref_sign(_ref_eval_exact(q, hi)) for q in chain])
-    if v_lo - v_hi:
-        raise DegenerateRootError("root within 1e-10 of rho = 0")
-
-    v0 = _ref_variations([_ref_sign(_ref_eval_exact(q, Fraction(0)))
-                          for q in chain])
-    v_inf = _ref_variations([_ref_sign_at_plus_inf(q) for q in chain])
-    return v0 - v_inf
-
-
-mixed_coeffs = st.one_of(
-    st.just(0.0),
-    st.integers(min_value=-4, max_value=4).map(float),
-    st.floats(min_value=5e2, max_value=2e3),
-    st.floats(min_value=-2e3, max_value=-5e2),
-    st.floats(min_value=5e-12, max_value=2e-11),    # roots near the guard
-    st.floats(min_value=-2e-11, max_value=-5e-12),
-)
-
-
-@st.composite
-def mixed_polynomials(draw):
-    coeffs = draw(st.lists(mixed_coeffs, min_size=1, max_size=7))
-    if draw(st.booleans()):
-        # times the square of a small integer factor: repeated roots
-        factor = draw(st.lists(st.integers(min_value=-3, max_value=3),
-                               min_size=2, max_size=3))
-        coeffs = np.convolve(np.convolve(coeffs, factor), factor)
-    return Polynomial(tuple(coeffs))
-
-
-def _outcome(count, p):
-    try:
-        return count(p)
-    except ValueError as exc:  # DegenerateRootError is a ValueError
-        return type(exc)
-
-
-def test_reference_agrees_on_known_cases():
-    assert reference_count(Polynomial((6.0, -7.0, 0.0, 1.0))) == 2
-    assert reference_count(poly_from_roots([1, 1, -2])) == 1
-    with pytest.raises(DegenerateRootError):
-        reference_count(poly_from_roots([Fraction(1, 10 ** 12), 1]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(mixed_polynomials())
-def test_integer_count_matches_rational_reference(p):
-    assert _outcome(count_positive_roots, p) == _outcome(reference_count, p)

@@ -1,10 +1,12 @@
 """Secular solver: quantized couplings, eigenfunctions, fields, profiles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from magpair.oracle import fd_kappa_spectrum
 from magpair.polyops import parity_flip
 from magpair.qes import (
     MAX_DEGREE,
@@ -18,6 +20,7 @@ from magpair.qes import (
     secular_spectrum,
 )
 from magpair.system import CaseTag, ChargePair, derive
+from sturm import count_positive_roots
 
 EL = CaseTag.EQUAL_LARMOR
 NU = CaseTag.NEUTRAL
@@ -118,7 +121,7 @@ def test_neutral_n1_explicit_polynomial():
     assert p.kappa == pytest.approx(-1.0, abs=1e-14)
     pair = eigenfunction(1, 0, p)
     assert pair.polynomial.coeffs == pytest.approx((1.0, -1.0), abs=1e-14)
-    assert pair.nodes == 1  # the neutral mirror has its node at rho = +1
+    assert p.nodes == 1  # the neutral mirror has its node at rho = +1
 
 
 # ------------------------------------------------------------------ energies
@@ -156,7 +159,7 @@ def test_spectrum_validations():
     with pytest.raises(ValueError):
         eigenfunction(3, 0, physical(2, 0)[0])
     bogus = SpectralPoint(n=2, s=0, j=1, kappa=17.0, lam=289.0, b=1 / 289.0,
-                          energy=1.5, case=EL, physical=True)
+                          energy=1.5, case=EL, physical=True, nodes=0)
     with pytest.raises(ValueError):
         eigenfunction(2, 0, bogus)
 
@@ -219,6 +222,16 @@ def test_wavefunction_grid_validation():
         assemble_wavefunction(pair, np.array([0.0, 1.0]), dpn)
 
 
+def test_wavefunction_is_zero_where_the_gaussian_underflows():
+    pair = eigenfunction(6, 3, physical(6, 3)[-1])
+    grid = np.array([0.0, 1.0, 60.0, 1e200, 1e300])
+    with np.errstate(invalid="raise"):
+        zeta = assemble_wavefunction(pair, grid).zeta
+    assert zeta[1] != 0.0 and list(zeta[2:]) == [0.0, 0.0, 0.0]
+    near = assemble_wavefunction(pair, grid[:2]).zeta
+    assert list(near) == list(zeta[:2])
+
+
 def test_residual_interface_guards():
     # the residual depends on n, |s| and kappa only, not on the sign of s
     pos = eigenfunction(2, 1, physical(2, 1)[0])
@@ -240,24 +253,43 @@ def test_residual_interface_guards():
 @pytest.mark.parametrize("n", [16, 20])
 @pytest.mark.parametrize("a", [0, 1, 5])
 def test_node_laws_beyond_n12(n, a):
+    # up to n = 20 the float64 coefficients are accurate enough for an
+    # exact root count of the stored polynomial to witness the rank
     sector = Sector(n, a)
-    nodes = {p.kappa: sector.pair(p).nodes
-             for p in secular_spectrum(n, a, EL)}
-    assert sorted(k for kap, k in nodes.items() if kap > 0.0) \
-        == list(range((n - 1) // 2 + 1))
-    for kap, k in nodes.items():
-        if kap != 0.0:
-            assert k + nodes[-kap] == n, (kap, k, nodes[-kap])
+    for p in secular_spectrum(n, a, EL):
+        assert count_positive_roots(sector.pair(p).polynomial) == p.nodes, p
+
+
+@pytest.mark.parametrize("a", [0, 5])
+def test_rank_matches_finite_difference_nodes_at_max_degree(a):
+    # the oracle's eigenvectors never touch the polynomial machinery; its
+    # n + 1 branches come in ascending kappa, like the sorted spectrum
+    fd = fd_kappa_spectrum(MAX_DEGREE, a)
+    pts = sorted(secular_spectrum(MAX_DEGREE, a, EL), key=lambda p: p.kappa)
+    assert list(fd.node_counts) == [p.nodes for p in pts]
+
+
+def test_node_ladder_and_mirror_sum_for_every_sector():
+    t0 = time.perf_counter()
+    for n in range(MAX_DEGREE + 1):
+        for a in range(6):
+            pts = secular_spectrum(n, a, NU)
+            nodes = {p.kappa: p.nodes for p in pts}
+            assert sorted(nodes.values()) == list(range(n + 1))
+            assert all(k + nodes[-kap] == n for kap, k in nodes.items())
+            assert sorted(p.nodes for p in pts if p.kappa > 0.0) \
+                == list(range((n - 1) // 2 + 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_largest_supported_degree_spectrum():
-    # node counts above n ~ 20 are exact for the rounded coefficients only,
-    # not certified (ROADMAP item 3); only the spectrum itself has to stay
-    # cheap and exactly mirrored up there
+    # the spectrum stays exactly mirrored at the largest degree (the tests
+    # above check its node counts); the eigenpolynomial is checked where
+    # its coefficients are accurate (ROADMAP item 6)
     pts = secular_spectrum(MAX_DEGREE, 0, EL)
     assert len(pts) == MAX_DEGREE + 1
     kappas = sorted(p.kappa for p in pts)
     for lo, hi in zip(kappas, reversed(kappas)):
         assert lo == -hi
     pair = eigenfunction(16, 0, physical(16, 0)[0])
-    assert pair.residual <= 1e-12 and pair.nodes == 0
+    assert pair.residual <= 1e-12 and pair.point.nodes == 0
