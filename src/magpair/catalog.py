@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyops import Polynomial
-from .qes import eigenfunction, secular_spectrum
+from .qes import Sector, secular_spectrum
 from .system import CaseTag
 
 __all__ = [
@@ -46,6 +46,12 @@ MAX_CATALOG_DEGREE = 8
 #: Tolerance on the arccos argument: values beyond [-1, 1] by more than
 #: this are treated as a genuine domain error, not rounding.
 ARCCOS_SLACK = 1e-9
+
+
+def _s_abs(s: int) -> float:
+    if int(s) != s:
+        raise ValueError("s must be an integer")
+    return float(abs(int(s)))
 
 
 def _safe_arccos(x: float) -> float:
@@ -112,7 +118,7 @@ def _aux_quartic(n: int, a: float) -> ClosedFormAux:
 
 def closed_form_aux(n: int, s: int) -> ClosedFormAux:
     """Auxiliary cubic/quartic quantities behind the closed forms (n = 5..8)."""
-    a = float(abs(int(s)))
+    a = _s_abs(s)
     if n in (5, 6):
         return _aux_cubic(n, a)
     if n in (7, 8):
@@ -129,7 +135,7 @@ def closed_form_lambdas(n: int, s: int) -> tuple[float, ...]:
     """
     if not (0 <= n <= MAX_CATALOG_DEGREE):
         raise ValueError(f"closed forms cover n = 0..{MAX_CATALOG_DEGREE}")
-    a = float(abs(int(s)))
+    a = _s_abs(s)
     if n == 0:
         return (0.0,)
     if n == 1:
@@ -246,7 +252,7 @@ def catalog_polynomial(n: int, s: int, j: int) -> Polynomial:
     if not (1 <= j <= len(lams)):
         raise ValueError(f"branch j = {j} outside 1..{len(lams)} for n = {n}")
     lam = lams[j - 1]
-    a = float(abs(int(s)))
+    a = _s_abs(s)
     if n == 0:
         return Polynomial((1.0,))
     sq = math.sqrt(lam)
@@ -300,12 +306,13 @@ def compare_catalog_with_solver(n: int, s: int) -> CatalogComparison:
     """
     points = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
     candidates = [p for p in points if p.kappa >= 0.0]
+    sector = Sector(n, s)
     rows = []
     notes: list[str] = []
     for j, lam_cf in enumerate(closed_form_lambdas(n, s), start=1):
         best = min(candidates, key=lambda p: abs(p.lam - lam_cf))
         rel = abs(best.lam - lam_cf) / max(1.0, abs(best.lam))
-        pair = eigenfunction(n, s, best)
+        pair = sector.pair(best)
         p_cf = catalog_polynomial(n, s, j)
         diff = np.abs(np.asarray(pair.polynomial.coeffs) - np.asarray(p_cf.coeffs))
         worst = int(np.argmax(diff))

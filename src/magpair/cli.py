@@ -532,10 +532,11 @@ def _checks_annihilator(ns, ss) -> list[Check]:
                          beyond, 1.0, ">="))
     if 3 in ns and 1 in ss:
         grid = np.linspace(0.25, 12.0, 48)
+        sector = Sector(3, 1)
         for case, label in ((CaseTag.EQUAL_LARMOR, "equal-Larmor"),
                             (CaseTag.NEUTRAL, "neutral")):
             pts = [p for p in secular_spectrum(3, 1, case) if p.j == 1]
-            pair = eigenfunction(3, 1, pts[0])
+            pair = sector.pair(pts[0])
             g = gauge_rotated_action(pair, grid)
             z = assemble_wavefunction(pair, grid).zeta
             rel = float(np.max(np.abs(g)) / np.max(np.abs(z)))

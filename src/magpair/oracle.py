@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .qes import eigenfunction
-
 __all__ = [
     "DEFAULT_NUM_POINTS",
     "MatchReport",
@@ -148,6 +146,9 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
     """
     if n < 0 or int(n) != n:
         raise ValueError("n must be a nonnegative integer")
+    if int(s) != s:
+        raise ValueError("s must be an integer")
+    n, s = int(n), int(s)
     if grid is None:
         grid = default_grid(n, s)
     if grid.r_max < _min_r_max(n, s) - 1e-12:
@@ -164,7 +165,7 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(m - n - 1, m - 1))
     vectors = scale[:, None] * v
     nodes = tuple(_count_sign_changes(vectors[:, k]) for k in range(vectors.shape[1]))
-    return OracleResult(n=n, s=int(s), e_n=e_n, grid=grid, r=ri,
+    return OracleResult(n=n, s=s, e_n=e_n, grid=grid, r=ri,
                         kappas=w, vectors=vectors, node_counts=nodes)
 
 
@@ -204,9 +205,7 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
     """
     rows = []
     used: set[int] = set()
-    pairs = [eigenfunction(p.n, p.s, p) for p in points if p.physical]
-    for pair in sorted(pairs, key=lambda e: e.point.j):
-        pt = pair.point
+    for pt in sorted((p for p in points if p.physical), key=lambda p: p.j):
         if pt.n != result.n or pt.s != result.s:
             raise ValueError("algebraic point belongs to a different (n, s)")
         # n + 1 oracle branches outnumber the (n + 1) // 2 physical ones

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from magpair import qes
 from magpair.catalog import (
     MAX_CATALOG_DEGREE,
     catalog_polynomial,
@@ -48,6 +49,16 @@ def test_n8_rho7_printed_form_disagrees(s):
     assert cmp.notes and all("rho^7" in note for note in cmp.notes)
 
 
+def test_comparison_solves_its_sector_once(monkeypatch):
+    # one eigenvalue-only solve for the spectrum, one with vectors for all
+    # four catalog branches
+    calls, real = [], qes.eigh_tridiagonal
+    monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
+        kw.get("eigvals_only", False)) or real(*a, **kw))
+    assert len(compare_catalog_with_solver(8, 1).branches) == 4
+    assert calls == [True, False]
+
+
 def test_spot_lambda_values():
     assert closed_form_lambdas(0, 3) == (0.0,)
     assert closed_form_lambdas(1, 2) == (5.0,)
@@ -84,6 +95,10 @@ def test_bounds_are_enforced():
         catalog_polynomial(3, 0, 0)
     with pytest.raises(ValueError):
         catalog_polynomial(3, 0, 3)  # n = 3 has two branches
+    with pytest.raises(ValueError):
+        closed_form_lambdas(3, 1.5)  # not truncated to |s| = 1
+    with pytest.raises(ValueError):
+        closed_form_aux(5, 1.5)
 
 
 def test_aux_quantities_well_formed():

@@ -1,10 +1,13 @@
 """Finite-difference oracle: grids, matching, failure modes, order."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from magpair import oracle
 from magpair.oracle import (
     MismatchError,
     RadialGrid,
@@ -95,6 +98,27 @@ def test_branch_count_bounds():
         fd_kappa_spectrum(20, 0, RadialGrid(1e-3, 13.0, 16))
     res = fd_kappa_spectrum(13, 0, RadialGrid(1e-3, 11.0, 16))
     assert len(res.kappas) == 14
+
+
+def test_non_integer_quantum_numbers_are_rejected():
+    # s = 1.5 must not pass as |s| = 1.5 under the label s = 1
+    with pytest.raises(ValueError):
+        fd_kappa_spectrum(2, 1.5)
+    with pytest.raises(ValueError):
+        fd_kappa_spectrum(2.5, 1)
+    res = fd_kappa_spectrum(2.0, 1.0, default_grid(2, 1, 401))
+    assert (res.n, res.s) == (2, 1) and type(res.n) is type(res.s) is int
+
+
+def test_oracle_imports_nothing_from_magpair():
+    # the witness stays independent of the polynomial machinery it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [("." * node.level) + (node.module or "")
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in names
+            if m.startswith(".") or m.split(".")[0] == "magpair"] == []
 
 
 def test_domain_too_small_is_rejected():

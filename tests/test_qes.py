@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from magpair.oracle import fd_kappa_spectrum
+from magpair.oracle import fd_kappa_spectrum, oracle_match
 from magpair.polyops import parity_flip
 from magpair.qes import (
     MAX_DEGREE,
@@ -267,6 +267,10 @@ def test_rank_matches_finite_difference_nodes_at_max_degree(a):
     fd = fd_kappa_spectrum(MAX_DEGREE, a)
     pts = sorted(secular_spectrum(MAX_DEGREE, a, EL), key=lambda p: p.kappa)
     assert list(fd.node_counts) == [p.nodes for p in pts]
+    # the match reads couplings and ranks only, so no eigenvector of the
+    # sector is built and none can be refused
+    rep = oracle_match(pts, fd, tol=float("inf"))
+    assert len(rep.rows) == MAX_DEGREE // 2 and rep.nodes_all_match
 
 
 def test_node_ladder_and_mirror_sum_for_every_sector():
