@@ -205,6 +205,11 @@ def _cmd_wavefunction(args) -> str:
         raise _UsageError("--grid-points must be at least 2")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
         raise _UsageError("--r-max must be positive and finite")
+    try:
+        grid = np.linspace(0.0, args.r_max, args.grid_points)
+    except MemoryError:
+        raise _UsageError(
+            f"--grid-points {args.grid_points} is too large to allocate") from None
 
     match = [p for p in secular_spectrum(n, s, case, dp)
              if p.physical and p.j == args.j]
@@ -212,7 +217,6 @@ def _cmd_wavefunction(args) -> str:
         raise _UsageError(
             f"no physical branch j = {args.j} at n = {n}, s = {s}")
     pair = eigenfunction(n, s, match[0])
-    grid = np.linspace(0.0, args.r_max, args.grid_points)
     sample = assemble_wavefunction(pair, grid, dp)
 
     meta = {"command": "wavefunction", "n": n, "s": s, "j": args.j,

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "DEFAULT_NUM_POINTS",
@@ -154,6 +153,9 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
     if grid.r_max < _min_r_max(n, s) - 1e-12:
         raise ValueError(
             f"r_max {grid.r_max} below the admissible minimum {_min_r_max(n, s)}")
+
+    # scipy loads on the first solve, so importing magpair stays cheap
+    from scipy.linalg import eigh_tridiagonal
 
     e_n, ri, sub, diag, sup = _assemble(n, s, grid)
     m = len(ri)

@@ -40,10 +40,10 @@ is nonzero), so no root sits at the origin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
@@ -160,6 +160,38 @@ def _symmetrized(n: int, a: int):
     return np.zeros(n + 1), off, scale
 
 
+def eigh_tridiagonal(d, e, eigvals_only=False):
+    """Ascending eigenvalues, and unless eigvals_only the eigenvectors, of
+    the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
+
+    A sector matrix is at most (MAX_DEGREE + 1) square, so one dense solve
+    on its lower triangle is fast enough and needs nothing beyond numpy.
+    """
+    m = np.diag(np.asarray(d, dtype=float))
+    i = np.arange(len(e))
+    m[i + 1, i] = e
+    return np.linalg.eigvalsh(m) if eigvals_only else np.linalg.eigh(m)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sector_couplings(n: int, a: int) -> np.ndarray:
+    """Ascending couplings of T(n, a) as a read-only array, solved once per
+    sector and process.
+
+    Conjugating T by diag((-1)^k) gives exactly -T (the diagonal is zero),
+    so the coupling spectrum is symmetric under kappa -> -kappa.  Mirrored
+    roots are snapped to exact +/- pairs, and couplings below 1e-12 of the
+    largest |kappa| (the exact zero mode of even n) to 0.0.
+    """
+    d, e, _ = _symmetrized(n, a)
+    mu = eigh_tridiagonal(d, e, eigvals_only=True) if n > 0 else np.zeros(1)
+    k = np.sort(-mu)  # T p = -kappa p
+    k = 0.5 * (k - k[::-1])
+    k[np.abs(k) <= 1e-12 * max(1.0, float(np.max(np.abs(k))))] = 0.0
+    k.flags.writeable = False
+    return k
+
+
 def dimensionless_energy(n: int, s: int, case: CaseTag,
                          dp: DerivedParams | None = None) -> float:
     """Energy of the branch family at fixed (n, s).
@@ -192,13 +224,10 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     convention per case) get j = 1, 2, ...; unphysical and zero-coupling
     branches are retained with j = 0.  Each point's node count is n - i,
     i its index in ascending kappa (oscillation theorem, module docstring).
-    The exact zero mode of even n is snapped to kappa = 0.0.  dp, when
-    given, must classify to `case` and makes the energies dimensionful.
-
-    Conjugating T by diag((-1)^k) gives exactly -T (the diagonal is zero),
-    so the coupling spectrum is symmetric under kappa -> -kappa.  Mirrored
-    roots are snapped to exact +/- pairs; the two physical cases therefore
-    quantize to bitwise identical fields b.
+    The exact zero mode of even n is snapped to kappa = 0.0, and mirrored
+    roots to exact +/- pairs, so the two physical cases quantize to bitwise
+    identical fields b.  dp, when given, must classify to `case` and makes
+    the energies dimensionful.
     """
     a = _validate_ns(n, s)
     if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
@@ -206,21 +235,8 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     if dp is not None and classify(dp) is not case:
         raise ValueError("derived parameters do not classify to the requested case")
 
-    d, e, _ = _symmetrized(n, a)
-    mu = eigh_tridiagonal(d, e, eigvals_only=True) if n > 0 else np.zeros(1)
-    kappas = np.sort(-mu)  # T p = -kappa p
-    for i in range((n + 1) // 2):
-        m = 0.5 * (kappas[n - i] - kappas[i])
-        kappas[i], kappas[n - i] = -m, m
-    if n % 2 == 0:
-        kappas[n // 2] = 0.0
-
-    snap = 1e-12 * max(1.0, float(np.max(np.abs(kappas))))
     energy = dimensionless_energy(n, s, case, dp)
-    raw = []
-    for kap in kappas:
-        k = 0.0 if abs(kap) <= snap else float(kap)
-        raw.append((k * k, k))
+    raw = [(k * k, k) for k in _sector_couplings(n, a).tolist()]
     order = sorted(range(len(raw)), key=lambda i: (-raw[i][0], raw[i][1]))
 
     points: list[SpectralPoint] = []

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import magpair
 from magpair import cli, qes
 from magpair.qes import IllConditionedError
 
@@ -115,6 +120,14 @@ def test_wavefunction_branch_guard(capsys):
     assert code == 2
 
 
+def test_wavefunction_refuses_a_grid_too_large_to_allocate(capsys):
+    # numpy refuses the 745 GiB grid before allocating any of it
+    code, out, err = run(capsys, "wavefunction", "--n", "3",
+                         "--grid-points", "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("magpair: error: --grid-points") and err.count("\n") == 1
+
+
 def test_solver_failure_exit_code(capsys, monkeypatch):
     def boom(n, s, point):
         raise IllConditionedError("synthetic failure")
@@ -129,8 +142,31 @@ def test_spectrum_solves_each_sector_once(capsys, monkeypatch):
     calls, real = [], qes.eigh_tridiagonal
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
         kw.get("eigvals_only", False)) or real(*a, **kw))
+    qes._sector_couplings.cache_clear()
     code, _, _ = run(capsys, "spectrum", "--n", "6", "--s", "1")
     assert code == 0 and calls == [True]
+
+
+_IMPORT_PATH_PROBE = """
+import sys
+import magpair, magpair.cli
+for argv in (["spectrum", "--n", "8", "--s", "1"],
+             ["wavefunction", "--n", "3", "--s", "1"], ["landau"]):
+    assert magpair.cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy on the CLI import path"
+from magpair.oracle import fd_kappa_spectrum
+fd_kappa_spectrum(2, 1)
+assert "scipy.linalg" in sys.modules, "the oracle solve did not load scipy"
+"""
+
+
+def test_spectrum_wavefunction_and_landau_never_import_scipy():
+    # scipy costs more than half a fresh CLI process; only the oracle needs it
+    src = str(Path(magpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_spectrum_counts_nodes_up_to_the_largest_degree(capsys):

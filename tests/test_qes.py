@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from magpair import qes
 from magpair.oracle import fd_kappa_spectrum, oracle_match
 from magpair.polyops import parity_flip
 from magpair.qes import (
@@ -28,6 +29,54 @@ NU = CaseTag.NEUTRAL
 
 def physical(n, s, case=EL):
     return [p for p in secular_spectrum(n, s, case) if p.physical]
+
+
+# ------------------------------------------------------ sector eigensolve
+
+def test_dense_solve_matches_lapack_tridiagonal_bitwise():
+    from scipy.linalg import eigh_tridiagonal
+    for n in range(1, MAX_DEGREE + 1):
+        for a in range(8):
+            d, e, _ = qes._symmetrized(n, a)
+            assert np.array_equal(
+                qes.eigh_tridiagonal(d, e, eigvals_only=True),
+                eigh_tridiagonal(d, e, eigvals_only=True)), (n, a)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_pair_coefficients_match_lapack_vectors(n):
+    from scipy.linalg import eigh_tridiagonal
+    built = 0
+    for a in (0, 1, 5):
+        d, e, scale = qes._symmetrized(n, a)
+        mu, w = eigh_tridiagonal(d, e)
+        sector = Sector(n, a)
+        for p in secular_spectrum(n, a, EL):
+            try:
+                coeffs = sector.pair(p).polynomial.coeffs
+            except (qes.IllConditionedError, qes.NonNormalizableError):
+                continue  # refused at n = 64 (ROADMAP item 6)
+            v = scale * w[:, int(np.argmin(np.abs(mu + p.kappa)))]
+            assert list(coeffs) == list(v / v[0]), (n, a, p.kappa)
+            built += 1
+    assert built >= 3 * (n + 1) // 2
+
+
+def test_couplings_are_solved_once_per_sector(monkeypatch):
+    calls, real = [], qes.eigh_tridiagonal
+    monkeypatch.setattr(qes, "eigh_tridiagonal", lambda d, e, **kw: calls.append(
+        (len(d), kw.get("eigvals_only", False))) or real(d, e, **kw))
+    qes._sector_couplings.cache_clear()
+    sweep = [(n, s, case) for n in (1, 8, 64) for s in (-3, 3)
+             for case in (EL, NU)]
+    first = [secular_spectrum(*key) for key in sweep]
+    assert calls == [(2, True), (9, True), (65, True)]
+    assert [secular_spectrum(*key) for key in sweep] == first
+    assert len(calls) == 3
+    cached = qes._sector_couplings(8, 3)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
 
 
 # ------------------------------------------------------------ closed kappas
