@@ -3,14 +3,19 @@ verification suite, and center-of-mass Landau tables.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 solver
-failure (ill-conditioned or non-normalizable eigenvector).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (including
+an `--out` path that cannot be written), 3 solver failure (ill-conditioned
+or non-normalizable eigenvector).
+
+`main` may be called repeatedly in one process; every call shares one
+argument parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -66,6 +71,8 @@ class _UsageError(Exception):
 
 def _fmt(x) -> str:
     """One value as text: 15 significant digits, blanks for missing."""
+    if type(x) is float:
+        return f"{x + 0.0:.15g}"  # + 0.0 normalizes -0.0
     if x is None:
         return ""
     if isinstance(x, str):
@@ -109,9 +116,13 @@ def _render(fmt: str, meta: dict, header: list[str], rows: list[dict],
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 # ------------------------------------------------------------------- parsing
@@ -223,8 +234,8 @@ def _cmd_wavefunction(args) -> str:
             "lambda": _jnum(match[0].lam), "case": case.value}
     comments = tuple(f"{k}={_fmt(v)}" for k, v in meta.items()
                      if k != "command")
-    rows = [{"rho": float(r), "zeta": float(z)}
-            for r, z in zip(sample.rho, sample.zeta)]
+    rows = [{"rho": r, "zeta": z}
+            for r, z in zip(sample.rho.tolist(), sample.zeta.tolist())]
     return _render(args.format, meta, ["rho", "zeta"], rows, comments)
 
 
@@ -615,6 +626,7 @@ def _add_output(p):
     p.add_argument("--out", default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="magpair",
@@ -679,6 +691,7 @@ def _join_negatives(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_join_negatives(argv))
+    ok = True
     try:
         if args.command == "spectrum":
             text = _cmd_spectrum(args)
@@ -688,16 +701,14 @@ def main(argv=None) -> int:
             text = _cmd_landau(args)
         else:
             text, ok = _cmd_verify(args)
-            _emit(text, args.out)
-            return 0 if ok else 1
+        _emit(text, args.out)
     except _UsageError as exc:
         print(f"magpair: error: {exc}", file=sys.stderr)
         return 2
     except (IllConditionedError, NonNormalizableError) as exc:
         print(f"magpair: solver failure: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import magpair
 from magpair import cli, qes
@@ -118,6 +121,24 @@ def test_wavefunction_branch_guard(capsys):
     assert code == 2
     code, _, err = run(capsys, "wavefunction", "--n", "1", "--r-max", "0")
     assert code == 2
+
+
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)
+@example(-2.5e-310)
+@example(2.2250738585072014e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(-math.nan)
+def test_float_cells_format_like_numpy_scalars(x):
+    # a Python float takes the fast path; a numpy scalar the general one
+    assert cli._fmt(x) == cli._fmt(np.float64(x))
+
+
+def test_negative_zero_cell_prints_as_zero():
+    assert cli._fmt(-0.0) == cli._fmt(np.float64(-0.0)) == "0"
 
 
 def test_wavefunction_refuses_a_grid_too_large_to_allocate(capsys):
@@ -313,6 +334,18 @@ def test_verify_deterministic_bytes(capsys, tmp_path):
     data = target.read_bytes()
     assert data.decode("utf-8") == out1
     assert b"\r" not in data
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--n", "2"),
+                                  ("verify", "--only", "sl2")])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "v.csv"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"magpair: error: cannot write --out {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_casimir_residual_of_either_sign_fails(capsys, monkeypatch):

@@ -35,3 +35,39 @@ def test_cli_output_matches_golden(name, capsysbinary):
     out, err = capsysbinary.readouterr()
     assert code == 0 and err == b""
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# One call before each golden call, in reverse order, on the same parser.
+# Each sets flags that the golden call after it leaves at their defaults,
+# or is rejected by argparse, so any state the shared parser kept would show.
+DETOURS = [
+    ["landau", "--n", "1", "--s", "0", "--format", "json", "--e1", "2",
+     "--e2", "2", "--m1", "1", "--m2", "1", "--B", "3"],
+    ["wavefunction", "--case", "ec0", "--n", "3", "--s", "-1",
+     "--grid-points", "5", "--r-max", "4", "--format", "json"],
+    ["spectrum", "--case", "q0", "--n", "1..2", "--s", "-1..1",
+     "--format", "json"],
+    ["spectrum", "--n", "1", "--s", "3", "--e1", "2", "--e2", "2", "--m1",
+     "1", "--m2", "1", "--B", "2"],
+    ["spectrum", "--n", "1", "--case", "bogus"],
+    ["verify", "--only", "sl2", "--n", "1", "--s", "0", "--tol", "1",
+     "--out", "{tmp}"],
+    ["verify", "--only", "casimir", "--tol", "-1", "--format", "json"],
+]
+
+
+def test_repeated_calls_share_one_stateless_parser(capsysbinary, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    assert len(DETOURS) == len(CASES)
+    for detour, name in zip(DETOURS, reversed(CASES)):
+        argv = [a.replace("{tmp}", str(tmp_path / "v.csv")) for a in detour]
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        capsysbinary.readouterr()
+        code = cli.main(CASES[name])
+        out, err = capsysbinary.readouterr()
+        assert code == 0 and err == b"", name
+        assert out == (GOLDEN / f"{name}.out").read_bytes(), name
+    assert (tmp_path / "v.csv").exists()
