@@ -232,11 +232,18 @@ def _cmd_wavefunction(args) -> str:
 
     meta = {"command": "wavefunction", "n": n, "s": s, "j": args.j,
             "lambda": _jnum(match[0].lam), "case": case.value}
+    header = ["rho", "zeta"]
+    if args.format == "json":
+        rows = [{"rho": r, "zeta": z}
+                for r, z in zip(sample.rho.tolist(), sample.zeta.tolist())]
+        return _render("json", meta, header, rows)
     comments = tuple(f"{k}={_fmt(v)}" for k, v in meta.items()
                      if k != "command")
-    rows = [{"rho": r, "zeta": z}
-            for r, z in zip(sample.rho.tolist(), sample.zeta.tolist())]
-    return _render(args.format, meta, ["rho", "zeta"], rows, comments)
+    # the numeric body in one % pass: %.15g is _fmt's conversion, and
+    # + 0.0 normalizes -0.0 across the array as _fmt does per cell
+    t = np.column_stack((sample.rho, sample.zeta)) + 0.0
+    body = ("%.15g,%.15g\n" * len(t)) % tuple(t.ravel().tolist())
+    return _render("csv", meta, header, [], comments) + body
 
 
 def _cmd_landau(args) -> str:

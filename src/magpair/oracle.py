@@ -27,6 +27,7 @@ at the same energy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ class RadialGrid:
 
     r_min must sit at least three decades below r_max so the one-sided
     regularity closure happens deep inside the r^|s| power-law region.
+    Both ends must be finite and num_points an integer (not a bool).
     """
 
     r_min: float
@@ -65,6 +67,11 @@ class RadialGrid:
     num_points: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError("r_min and r_max must be finite")
+        if isinstance(self.num_points, bool) or \
+                not isinstance(self.num_points, numbers.Integral):
+            raise ValueError("num_points must be an integer")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.r_min > 1e-3 * self.r_max:
@@ -111,12 +118,31 @@ class OracleResult:
     node_counts: tuple[int, ...]
 
 
-def _assemble(n: int, s: int, grid: RadialGrid):
+def _integers(n, s) -> tuple[int, int]:
+    if n < 0 or int(n) != n:
+        raise ValueError("n must be a nonnegative integer")
+    if int(s) != s:
+        raise ValueError("s must be an integer")
+    return int(n), int(s)
+
+
+def _pencil(n: int, s: int, grid: RadialGrid):
+    """A on the interior nodes, in symmetric tridiagonal form.
+
+    Returns e_n, the interior nodes, sub, sup, diag and the symmetric
+    off-diagonal off = sqrt(sub[1:] sup[:-1]).
+    """
+    if grid.r_max < _min_r_max(n, s) - 1e-12:
+        raise ValueError(
+            f"r_max {grid.r_max} below the admissible minimum {_min_r_max(n, s)}")
     a = abs(s)
     e_n = 0.5 * (n + 1 + a)
     r = grid.nodes()
     h = grid.h
     ri = r[1:-1]
+    if len(ri) < n + 1:
+        raise ValueError(
+            f"{len(ri)} interior nodes cannot carry n + 1 = {n + 1} branches")
     sub = ri / h ** 2 - 1.0 / (2.0 * h)
     sup = (ri / h ** 2 + 1.0 / (2.0 * h)).copy()
     diag = (-2.0 * ri / h ** 2 - (a * a) / ri - ri ** 3 / 4.0
@@ -127,7 +153,9 @@ def _assemble(n: int, s: int, grid: RadialGrid):
     beta = -((r[0] / r[2]) ** a)
     diag[0] += sub[0] * alpha
     sup[0] += sub[0] * beta
-    return e_n, ri, sub, diag, sup
+    # r_i >= r_min + h > h/2 on every interior node, so sub > 0 and sup > 0
+    off = np.sqrt(sub[1:] * sup[:-1])
+    return e_n, ri, sub, sup, diag, off
 
 
 def _count_sign_changes(vec: np.ndarray, rel_floor: float = 1e-8) -> int:
@@ -143,26 +171,14 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
     ascending order, with node counts of the back-transformed vectors.
     The grid must carry at least n + 1 interior nodes.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a nonnegative integer")
-    if int(s) != s:
-        raise ValueError("s must be an integer")
-    n, s = int(n), int(s)
+    n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s)
-    if grid.r_max < _min_r_max(n, s) - 1e-12:
-        raise ValueError(
-            f"r_max {grid.r_max} below the admissible minimum {_min_r_max(n, s)}")
-
     # scipy loads on the first solve, so importing magpair stays cheap
     from scipy.linalg import eigh_tridiagonal
 
-    e_n, ri, sub, diag, sup = _assemble(n, s, grid)
+    e_n, ri, sub, sup, diag, off = _pencil(n, s, grid)
     m = len(ri)
-    if m < n + 1:
-        raise ValueError(f"{m} interior nodes cannot carry n + 1 = {n + 1} branches")
-    # r_i >= r_min + h > h/2 on every interior node, so sub > 0 and sup > 0
-    off = np.sqrt(sub[1:] * sup[:-1])
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(m - n - 1, m - 1))
     vectors = scale[:, None] * v
@@ -244,13 +260,20 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
 
     order = log2(|kappa_h - kappa_{h/2}| / |kappa_{h/2} - kappa_{h/4}|) per
     branch; branches whose increments are already at rounding level are
-    reported as inf.
+    reported as inf.  The three grids are solved for eigenvalues only.
     """
+    n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s, num_points=801)
-    res = [fd_kappa_spectrum(n, s, g)
-           for g in (grid, grid.refined(2), grid.refined(4))]
-    k0, k1, k2 = (r.kappas for r in res)
+    from scipy.linalg import eigh_tridiagonal
+
+    kappas = []
+    for g in (grid, grid.refined(2), grid.refined(4)):
+        _, ri, _, _, diag, off = _pencil(n, s, g)
+        m = len(ri)
+        kappas.append(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                       select_range=(m - n - 1, m - 1)))
+    k0, k1, k2 = kappas
     scale = max(1.0, float(np.max(np.abs(k2))))
     orders = []
     for d1, d2 in zip(np.abs(k0 - k1), np.abs(k1 - k2)):

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -220,12 +221,54 @@ def test_non_finite_input_is_rejected(capsys):
 
 
 def test_wavefunction_far_grid_is_zero_not_nan(capsys):
-    code, out, err = run(capsys, "wavefunction", "--n", "3", "--s", "2",
-                         "--r-max", "1e300", "--grid-points", "5",
-                         "--format", "json")
+    argv = ("wavefunction", "--n", "3", "--s", "2", "--r-max", "1e300",
+            "--grid-points", "5")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0 and err == ""
     rows = json.loads(out)["rows"]
     assert [r["zeta"] for r in rows] == [0.0] * 5
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header == ["rho", "zeta"] and [r[1] for r in rows] == ["0"] * 5
+
+
+# the synthetic sample puts each special value in both columns
+_SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan, -math.nan, 1e-5, 0.1,
+                     -1.0 / 3.0, 123456789012345678.0, 1e300])
+
+
+@pytest.mark.parametrize("argv, synthetic", [
+    (("--n", "12", "--s", "3", "--grid-points", "2001"), False),
+    (("--case", "q0", "--n", "5", "--s", "1", "--j", "2",
+      "--grid-points", "101"), False),
+    (("--n", "3", "--s", "2", "--r-max", "1e300", "--grid-points", "5"),
+     False),
+    (("--n", "2", "--grid-points", str(len(_SPECIAL))), True),
+])
+def test_wavefunction_csv_is_the_generic_table(capsys, monkeypatch, argv,
+                                               synthetic):
+    # the one-pass CSV body must equal _render over one dict per row
+    samples = []
+    real = cli.assemble_wavefunction
+
+    def spy(pair, grid, dp=None):
+        sample = real(pair, grid, dp)
+        if synthetic:
+            sample = dataclasses.replace(sample, rho=_SPECIAL,
+                                         zeta=_SPECIAL[::-1].copy())
+        samples.append(sample)
+        return sample
+
+    monkeypatch.setattr(cli, "assemble_wavefunction", spy)
+    code, out, err = run(capsys, "wavefunction", *argv)
+    assert code == 0 and err == ""
+    [sample] = samples
+    comments = tuple(l[2:] for l in out.splitlines() if l.startswith("# "))
+    assert len(comments) == 5
+    rows = [{"rho": r, "zeta": z} for r, z in zip(sample.rho, sample.zeta)]
+    assert out == cli._render("csv", {}, ["rho", "zeta"], rows, comments)
 
 
 def test_landau_default_table(capsys):

@@ -33,6 +33,20 @@ def test_grid_validation():
         RadialGrid(1e-3, 10.0, 15)
     g = RadialGrid(1e-3, 10.0, 16)
     assert g.h == (10.0 - 1e-3) / 15.0
+    assert RadialGrid(1e-3, 10.0, np.int64(16)) == g
+
+
+@pytest.mark.parametrize("r_min, r_max", [
+    (1e-4, math.inf), (-math.inf, 10.0), (math.nan, 10.0), (1e-4, math.nan)])
+def test_grid_refuses_non_finite_ends(r_min, r_max):
+    with pytest.raises(ValueError, match="finite"):
+        RadialGrid(r_min, r_max, 3001)
+
+
+@pytest.mark.parametrize("num_points", [3001.5, 3001.0, True, "3001", None])
+def test_grid_refuses_non_integer_point_count(num_points):
+    with pytest.raises(ValueError, match="integer"):
+        RadialGrid(1e-4, 10.0, num_points)
 
 
 def test_grid_refinement_keeps_interval():
@@ -131,3 +145,26 @@ def test_second_order_convergence():
     assert report.min_order >= 1.8
     assert len(report.orders) == 3
     assert report.kappas_finest[-1] == pytest.approx(math.sqrt(14.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_convergence_order_matches_three_full_solves(n):
+    # eigenvalues alone come out bitwise equal to those solved with vectors
+    for s in range(-4, 5):
+        grid = default_grid(n, s, num_points=801)
+        k0, k1, k2 = (fd_kappa_spectrum(n, s, g).kappas
+                      for g in (grid, grid.refined(2), grid.refined(4)))
+        scale = max(1.0, float(np.max(np.abs(k2))))
+        orders = tuple(math.inf if d2 <= 1e-13 * scale
+                       else float(np.log2(d1 / d2))
+                       for d1, d2 in zip(np.abs(k0 - k1), np.abs(k1 - k2)))
+        report = convergence_order(n, s)
+        assert np.array_equal(report.kappas_finest, k2), (n, s)
+        assert report.orders == orders, (n, s)
+
+
+def test_convergence_order_validates_like_the_full_solve():
+    with pytest.raises(ValueError):
+        convergence_order(2, 1.5)
+    with pytest.raises(ValueError):
+        convergence_order(4, 2, RadialGrid(5e-4, 5.0, 101))
