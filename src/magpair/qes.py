@@ -15,6 +15,9 @@ Spectral conventions used everywhere downstream:
   physical branches: kappa > 0 for EqualLarmor, kappa < 0 for Neutral
   j = 1, 2, ... ranks physical branches by descending lambda; j = 0 marks
   retained unphysical and zero-coupling branches
+  branch order: descending lambda, ties ascending kappa (the negative
+  member of each +/- pair first, the zero mode of even n last), read off
+  the mirror structure of the couplings without a sort
   nodes = number of couplings of the (n, |s|) sector above kappa
 
 Node counts need no root finding.  Multiplied by 2 rho, the radial
@@ -134,14 +137,15 @@ class RadialSample:
     point: SpectralPoint
 
 
-def _validate_ns(n: int, s: int) -> int:
+def _validate_ns(n: int, s: int) -> tuple[int, int]:
+    """(n, s) as Python ints; integral floats and numpy integers pass."""
     if int(n) != n or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if n > MAX_DEGREE:
         raise ValueError(f"n = {n} exceeds the configured maximum {MAX_DEGREE}")
     if int(s) != s:
         raise ValueError("s must be an integer")
-    return abs(int(s))
+    return int(n), int(s)
 
 
 def _symmetrized(n: int, a: int):
@@ -192,6 +196,26 @@ def _sector_couplings(n: int, a: int) -> np.ndarray:
     return k
 
 
+@functools.lru_cache(maxsize=MAX_DEGREE + 1)
+def _branch_order(n: int) -> tuple[int, ...]:
+    """Indices into a sector's ascending couplings in the order descending
+    lambda, ties ascending kappa: 0, n, 1, n - 1, ..., then n/2 for even n.
+
+    The couplings k_0 < ... < k_n are distinct (T is unreduced) and exact
+    mirrors k_i = -k_{n-i} (see _sector_couplings).  So lambda = kappa^2
+    falls strictly from one +/- pair to the next going inwards, it ties only
+    within a pair, where the negative member k_i (i < n - i) comes first,
+    and the zero mode k_{n/2} of even n comes last.  The order depends on n
+    alone, so it is built once per degree instead of sorted per call.
+    """
+    order = []
+    for i in range((n + 1) // 2):
+        order += (i, n - i)
+    if n % 2 == 0:
+        order.append(n // 2)
+    return tuple(order)
+
+
 def dimensionless_energy(n: int, s: int, case: CaseTag,
                          dp: DerivedParams | None = None) -> float:
     """Energy of the branch family at fixed (n, s).
@@ -219,40 +243,41 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
                      dp: DerivedParams | None = None) -> list[SpectralPoint]:
     """All n + 1 coupling roots at fixed (n, s), flagged and ranked.
 
-    Points are sorted by descending lambda with ties broken by ascending
-    kappa; physical branches (see the module docstring for the sign
-    convention per case) get j = 1, 2, ...; unphysical and zero-coupling
-    branches are retained with j = 0.  Each point's node count is n - i,
-    i its index in ascending kappa (oscillation theorem, module docstring).
-    The exact zero mode of even n is snapped to kappa = 0.0, and mirrored
-    roots to exact +/- pairs, so the two physical cases quantize to bitwise
+    Points come in the order of descending lambda with ties broken by
+    ascending kappa: the negative member of each +/- pair comes first and
+    the zero mode of even n last.  That order is read off the mirror
+    structure of the couplings, without a sort (see _branch_order).
+    Physical branches (see the module docstring for the sign convention
+    per case) get j = 1, 2, ...; unphysical and zero-coupling branches are
+    retained with j = 0.  Each point's node count is n - i, i its index in
+    ascending kappa (oscillation theorem, module docstring).  The exact
+    zero mode of even n is snapped to kappa = 0.0, and mirrored roots to
+    exact +/- pairs, so the two physical cases quantize to bitwise
     identical fields b.  dp, when given, must classify to `case` and makes
     the energies dimensionful.
     """
-    a = _validate_ns(n, s)
+    n, s = _validate_ns(n, s)
     if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
         raise ValueError("QES branches exist only for EqualLarmor and Neutral")
     if dp is not None and classify(dp) is not case:
         raise ValueError("derived parameters do not classify to the requested case")
 
     energy = dimensionless_energy(n, s, case, dp)
-    raw = [(k * k, k) for k in _sector_couplings(n, a).tolist()]
-    order = sorted(range(len(raw)), key=lambda i: (-raw[i][0], raw[i][1]))
+    kappas = _sector_couplings(n, abs(s)).tolist()
+    equal_larmor = case is CaseTag.EQUAL_LARMOR
 
     points: list[SpectralPoint] = []
     j = 0
-    for i in order:  # i indexes kappa in ascending order
-        lam, kap = raw[i]
-        if case is CaseTag.EQUAL_LARMOR:
-            physical = kap > 0.0
-        else:
-            physical = kap < 0.0
+    for i in _branch_order(n):  # i indexes kappa in ascending order
+        kap = kappas[i]
+        lam = kap * kap
+        physical = kap > 0.0 if equal_larmor else kap < 0.0
         if physical:
             j += 1
+        # Field order: n, s, j, kappa, lam, b, energy, case, physical, nodes.
         points.append(SpectralPoint(
-            n=n, s=int(s), j=j if physical else 0, kappa=kap, lam=lam,
-            b=(1.0 / lam) if lam > 0.0 else None, energy=energy,
-            case=case, physical=physical, nodes=n - i))
+            n, s, j if physical else 0, kap, lam,
+            (1.0 / lam) if lam > 0.0 else None, energy, case, physical, n - i))
     return points
 
 
@@ -269,7 +294,8 @@ class Sector:
     """
 
     def __init__(self, n: int, s: int) -> None:
-        a = _validate_ns(n, s)
+        n, s = _validate_ns(n, s)
+        a = abs(s)
         d, e, self.scale = _symmetrized(n, a)
         self.mu, self.w = (eigh_tridiagonal(d, e) if n > 0
                            else (np.zeros(1), np.ones((1, 1))))

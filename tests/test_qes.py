@@ -1,5 +1,6 @@
 """Secular solver: quantized couplings, eigenfunctions, fields, profiles."""
 
+import json
 import math
 import time
 
@@ -211,6 +212,68 @@ def test_spectrum_validations():
                           energy=1.5, case=EL, physical=True, nodes=0)
     with pytest.raises(ValueError):
         eigenfunction(2, 0, bogus)
+
+
+def test_integral_n_and_s_of_any_type_give_python_ints():
+    # numpy integers and integral floats are accepted as n and s, and the
+    # points carry plain ints, so to_dict() stays JSON-ready
+    for n, s in ((np.int64(3), 1), (3, np.int64(-1)), (2.0, 0), (3, 1.0)):
+        pts = secular_spectrum(n, s, EL)
+        assert pts == secular_spectrum(int(n), int(s), EL)
+        assert repr(pts) == repr(secular_spectrum(int(n), int(s), EL))
+        for p in pts:
+            assert type(p.n) is int and type(p.nodes) is int
+            assert type(p.s) is int
+            json.dumps(p.to_dict())
+    sector = Sector(2.0, 0)
+    assert type(sector.n) is int and type(sector.a) is int
+    pair = sector.pair(physical(2, 0)[0])
+    assert pair.residual <= 1e-12
+    assert type(Sector(np.int64(2), np.int64(-1)).n) is int
+    for n in (2.5, np.float64(1.5)):
+        with pytest.raises(ValueError):
+            secular_spectrum(n, 0, EL)
+        with pytest.raises(ValueError):
+            Sector(n, 0)
+
+
+def _sorted_spectrum(n, s, case, dp=None):
+    """Reference branch order: an explicit sort by (-lambda, kappa) and a
+    keyword constructor per point."""
+    energy = dimensionless_energy(n, s, case, dp)
+    raw = [(k * k, k) for k in qes._sector_couplings(n, abs(s)).tolist()]
+    order = sorted(range(len(raw)), key=lambda i: (-raw[i][0], raw[i][1]))
+    points, j = [], 0
+    for i in order:
+        lam, kap = raw[i]
+        phys = kap > 0.0 if case is EL else kap < 0.0
+        j += phys
+        points.append(SpectralPoint(
+            n=n, s=s, j=j if phys else 0, kappa=kap, lam=lam,
+            b=(1.0 / lam) if lam > 0.0 else None, energy=energy,
+            case=case, physical=phys, nodes=n - i))
+    return points
+
+
+def test_branch_order_equals_the_sorted_reference():
+    # the mirror-structure order of _branch_order reproduces the sort by
+    # descending lambda, ties ascending kappa, over the whole n range; repr
+    # (which also tells -0.0 from 0.0 and int from numpy ints) is compared
+    # for s >= 0 without dp, since the sign of s and dp change only the
+    # values of s and the energy
+    dps = {EL: derive(ChargePair(1.0, 2.0, 1.0, 2.0, 0.7)),
+           NU: derive(ChargePair(1.0, -1.0, 1.0, 3.0, 0.7))}
+    mags = list(range(9)) + [16, 32, 48, 64]
+    svals = sorted({sign * m for m in mags for sign in (1, -1)})
+    for n in range(MAX_DEGREE + 1):
+        for s in svals:
+            for case, dp_case in dps.items():
+                for dp in (None, dp_case):
+                    got = secular_spectrum(n, s, case, dp)
+                    want = _sorted_spectrum(n, s, case, dp)
+                    assert got == want, (n, s, case, dp)
+                    if dp is None and s >= 0:
+                        assert repr(got) == repr(want), (n, s, case)
 
 
 # ------------------------------------------------------------ quantization
