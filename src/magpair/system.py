@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 __all__ = [
     "CaseTag",
@@ -92,6 +93,16 @@ class DerivedParams:
                   "omega_c", "Omega_q", "omega_q", "B0", "b")
         return {k: getattr(self, k) for k in fields}
 
+    @cached_property
+    def _case(self) -> CaseTag:
+        # tested once per instance; dataclasses.replace builds a new one
+        if abs(self.q) <= TOL_REL * max(abs(self.e1), abs(self.e2)):
+            return CaseTag.NEUTRAL
+        if abs(self.ec) <= TOL_REL * max(abs(self.e1 * self.mu2),
+                                         abs(self.e2 * self.mu1)):
+            return CaseTag.EQUAL_LARMOR
+        return CaseTag.GENERIC
+
 
 def _is_neutral(e1: float, e2: float) -> bool:
     return abs(e1 + e2) <= TOL_REL * max(abs(e1), abs(e2))
@@ -155,10 +166,7 @@ def classify(dp: DerivedParams) -> CaseTag:
 
     Neutral: |q| small against max(|e1|, |e2|).
     EqualLarmor: |ec| small against max(|e1 mu2|, |e2 mu1|).
-    Neutral wins if both tests pass.
+    Neutral wins if both tests pass.  The tag is computed once per
+    DerivedParams instance and cached on it.
     """
-    if abs(dp.q) <= TOL_REL * max(abs(dp.e1), abs(dp.e2)):
-        return CaseTag.NEUTRAL
-    if abs(dp.ec) <= TOL_REL * max(abs(dp.e1 * dp.mu2), abs(dp.e2 * dp.mu1)):
-        return CaseTag.EQUAL_LARMOR
-    return CaseTag.GENERIC
+    return dp._case

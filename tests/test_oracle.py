@@ -168,3 +168,61 @@ def test_convergence_order_validates_like_the_full_solve():
         convergence_order(2, 1.5)
     with pytest.raises(ValueError):
         convergence_order(4, 2, RadialGrid(5e-4, 5.0, 101))
+
+
+def _row_sum_norm(diag, off):
+    rows = np.abs(diag)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return float(np.max(rows))
+
+
+_SWEEP = [(n, s, p) for n in (*range(9), 16, 32, 64) for s in (0, 1, 5, 64)
+          for p in (801, 3001)] + [(6, 4, 12001), (64, 0, 12001)]
+
+
+def test_top_block_reaches_the_fully_converged_eigenvalues():
+    # reference: bisection run to the end, eigenvectors by LAPACK stein
+    from scipy.linalg import eigh_tridiagonal
+
+    for n, s, p in _SWEEP:
+        grid = default_grid(n, s, p)
+        _, ri, sub, sup, diag, off = oracle._pencil(n, s, grid)
+        m, ulp = len(ri), np.finfo(float).eps * _row_sum_norm(diag, off)
+        w, v = oracle._top_block(diag, off, n + 1)
+        ref, ref_v = eigh_tridiagonal(diag, off, select="i", tol=1e-300,
+                                      select_range=(m - n - 1, m - 1))
+        assert np.max(np.abs(w - ref)) <= 0.1 * ulp, (n, s, p)
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-14)
+        tv = diag[:, None] * v
+        tv[:-1] += off[:, None] * v[1:]
+        tv[1:] += off[:, None] * v[:-1]
+        assert np.max(np.linalg.norm(tv - w * v, axis=0)) <= 4.0 * ulp
+        # node counts as fd_kappa_spectrum takes them, on both vector sets
+        scale = np.concatenate(
+            ([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
+        nodes = [[oracle._count_sign_changes(scale * vecs[:, k])
+                  for k in range(n + 1)] for vecs in (v, ref_v)]
+        assert nodes[0] == nodes[1], (n, s, p)
+
+
+def test_top_block_refuses_a_pair_it_cannot_isolate():
+    # Wilkinson's W21+: the two largest eigenvalues agree to about 1e-14
+    diag = np.abs(np.arange(-10.0, 11.0))
+    off = np.ones(20)
+    with pytest.raises(RuntimeError, match="isolated"):
+        oracle._top_block(diag, off, 2)
+    w, v = oracle._top_block(diag, off, 1)
+    assert w[0] == pytest.approx(10.746194182903393, abs=1e-13)
+    assert v.shape == (21, 1)
+
+
+def test_top_block_is_reproducible_bit_for_bit():
+    _, _, _, _, diag, off = oracle._pencil(5, 2, default_grid(5, 2, 2001))
+    w1, v1 = oracle._top_block(diag, off, 6)
+    w2, v2 = oracle._top_block(diag, off, 6)
+    assert w1.tobytes() == w2.tobytes() and v1.tobytes() == v2.tobytes()
+    w3, none = oracle._top_block(diag, off, 6, vectors=False)
+    assert w3.tobytes() == w1.tobytes() and none is None
+    assert fd_kappa_spectrum(5, 2, default_grid(5, 2, 2001)).kappas.tobytes() \
+        == w1.tobytes()

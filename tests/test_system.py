@@ -1,5 +1,6 @@
 """Derived parameters and solvable-case classification."""
 
+import dataclasses
 import math
 
 import pytest
@@ -75,6 +76,28 @@ def test_classification_tolerance_boundaries():
     assert classify(almost) is CaseTag.NEUTRAL
     off = derive(ChargePair(1.0, -(1.0 + 1e-11), 1.0, 1.0, 1.0))
     assert classify(off) is CaseTag.GENERIC
+
+
+def test_replaced_parameters_classify_afresh():
+    dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))
+    assert classify(dp) is CaseTag.EQUAL_LARMOR
+    generic = dataclasses.replace(dp, ec=0.25)
+    assert classify(generic) is CaseTag.GENERIC
+    neutral = dataclasses.replace(generic, e2=-1.0, q=0.0)
+    assert classify(neutral) is CaseTag.NEUTRAL
+    assert classify(dp) is CaseTag.EQUAL_LARMOR
+    # the cached tag takes no part in equality
+    assert dataclasses.replace(generic, ec=0.0) == dp
+
+
+def test_hand_built_parameters_classify_as_derived():
+    for pair in (ChargePair(2.0, 1.0, 2.0, 1.0, 1.0),
+                 ChargePair(-1.0, 1.0, 1.0, 3.0, 2.0),
+                 ChargePair(2.0, 2.0, 1.0, 3.0, 1.0)):
+        dp = derive(pair)
+        built = DerivedParams(**dp.to_dict())
+        assert classify(built) is classify(dp)
+        assert classify(built) is classify(built)
 
 
 def test_coupling_charge_identity():
