@@ -258,8 +258,6 @@ def catalog_polynomial(n: int, s: int, j: int) -> Polynomial:
     sq = math.sqrt(lam)
     coeffs = [1.0, sq / (1.0 + 2.0 * a)]
     coeffs.extend(_coeff_tail(n, lam, sq, a))
-    if len(coeffs) != n + 1:
-        raise AssertionError("coefficient count mismatch in the catalog")
     return Polynomial(tuple(coeffs))
 
 

@@ -128,24 +128,22 @@ def _emit(text: str, out: str | None) -> None:
 # ------------------------------------------------------------------- parsing
 
 def _parse_range(text: str, lo: int, hi: int, flag: str) -> list[int]:
-    """An integer or an inclusive a..b range, bounds checked."""
+    """An integer or an inclusive a..b range, bounds checked before the
+    list is built."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            vals = [int(parts[0])]
-        elif len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-            if b < a:
-                raise ValueError
-            vals = list(range(a, b + 1))
-        else:
+        if len(parts) > 2:
+            raise ValueError
+        a, b = int(parts[0]), int(parts[-1])
+        if b < a:
             raise ValueError
     except ValueError:
         raise _UsageError(f"{flag} expects an integer or a..b, got {text!r}")
-    for v in vals:
-        if not lo <= v <= hi:
-            raise _UsageError(f"{flag} value {v} is outside [{lo}, {hi}]")
-    return vals
+    # the first value of a..b outside [lo, hi]: a itself, else hi + 1
+    bad = a if not lo <= a <= hi else hi + 1 if b > hi else None
+    if bad is not None:
+        raise _UsageError(f"{flag} value {bad} is outside [{lo}, {hi}]")
+    return list(range(a, b + 1))
 
 
 def _single(vals: list[int], flag: str) -> int:
@@ -211,7 +209,7 @@ def _cmd_wavefunction(args) -> str:
     case = _CASES[args.case]
     n = _single(_parse_range(args.n, 0, MAX_DEGREE, "--n"), "--n")
     s = _single(_parse_range(args.s, -MAX_DEGREE, MAX_DEGREE, "--s"), "--s")
-    dp = _derived_or_none(args, case)
+    _derived_or_none(args, case)  # validated only: the profile is scaled
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
@@ -222,13 +220,13 @@ def _cmd_wavefunction(args) -> str:
         raise _UsageError(
             f"--grid-points {args.grid_points} is too large to allocate") from None
 
-    match = [p for p in secular_spectrum(n, s, case, dp)
+    match = [p for p in secular_spectrum(n, s, case)
              if p.physical and p.j == args.j]
     if not match:
         raise _UsageError(
             f"no physical branch j = {args.j} at n = {n}, s = {s}")
     pair = eigenfunction(n, s, match[0])
-    sample = assemble_wavefunction(pair, grid, dp)
+    sample = assemble_wavefunction(pair, grid)
 
     meta = {"command": "wavefunction", "n": n, "s": s, "j": args.j,
             "lambda": _jnum(match[0].lam), "case": case.value}
@@ -418,14 +416,12 @@ def _checks_nodes(ns, ss) -> list[Check]:
             # node counts of the finite-difference eigenvectors, so that the
             # section does not rest on the rank it checks
             fd = fd_kappa_spectrum(n, s, default_grid(n, s, 801))
-            counts = {}
-            for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
-                if p.physical:
-                    i = int(np.argmin(np.abs(fd.kappas - p.kappa)))
-                    counts[p] = fd.node_counts[i]
+            rows = oracle_match(secular_spectrum(n, s, CaseTag.EQUAL_LARMOR),
+                                fd, tol=float("inf")).rows
+            counts = [r.nodes_fd for r in rows]
             # n = 0 has no physical branch and an empty ladder
-            if sorted(counts.values()) != list(range((n - 1) // 2 + 1)) \
-                    or any(c != p.nodes for p, c in counts.items()):
+            if sorted(counts) != list(range((n - 1) // 2 + 1)) \
+                    or any(r.nodes_fd != r.nodes_alg for r in rows):
                 bad_ladder += 1.0
             if n in (5, 6):
                 # the closed-form branch labels are the printed ones, not
@@ -434,8 +430,9 @@ def _checks_nodes(ns, ss) -> list[Check]:
                 saw56 = True
                 lams = closed_form_lambdas(n, s)
                 for want, jc in enumerate((1, 3, 2)):
-                    near = min(counts, key=lambda p: abs(p.lam - lams[jc - 1]))
-                    if counts[near] != want:
+                    near = min(rows, key=lambda r: abs(
+                        r.kappa_alg * r.kappa_alg - lams[jc - 1]))
+                    if near.nodes_fd != want:
                         bad_map += 1.0
     out = [Check("nodes", f"ladder 0..floor((n-1)/2) {_span('n', ns)}",
                  bad_ladder, 0.0, "<=")]

@@ -166,8 +166,9 @@ def _pencil(n: int, s: int, grid: RadialGrid):
     return e_n, ri, sub, sup, diag, off
 
 
-def _count_sign_changes(vec: np.ndarray, rel_floor: float = 1e-8) -> int:
-    v = vec[np.abs(vec) > rel_floor * np.max(np.abs(vec))]
+def _count_sign_changes(vec: np.ndarray) -> int:
+    """Sign changes of vec, ignoring entries within 1e-8 of its max."""
+    v = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))]
     s = np.sign(v)
     return int(np.sum(s[1:] != s[:-1]))
 

@@ -39,6 +39,9 @@ follows that all n roots of p are real and simple and that
 nodes(kappa) + nodes(-kappa) = n.  The rho^0 coefficient is never zero
 (the first component of an eigenvector of an unreduced tridiagonal matrix
 is nonzero), so no root sits at the origin.
+
+The rank also fixes the eigenvector: the symmetric eigensolve returns
+ascending mu = -kappa, so the branch with k nodes is its column k.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def _sector_couplings(n: int, a: int) -> np.ndarray:
     largest |kappa| (the exact zero mode of even n) to 0.0.
     """
     d, e, _ = _symmetrized(n, a)
-    mu = eigh_tridiagonal(d, e, eigvals_only=True) if n > 0 else np.zeros(1)
+    mu = eigh_tridiagonal(d, e, eigvals_only=True)
     k = np.sort(-mu)  # T p = -kappa p
     k = 0.5 * (k - k[::-1])
     k[np.abs(k) <= 1e-12 * max(1.0, float(np.max(np.abs(k))))] = 0.0
@@ -290,30 +293,36 @@ def _coefficient_residual(c: np.ndarray, t: np.ndarray, kappa: float) -> float:
 class Sector:
     """Every eigenpair of T(n, |s|) from one symmetric tridiagonal solve.
 
-    Points of either sign of s and of either case share a sector.
+    Points of either sign of s and of either case share a sector.  The
+    eigenvector of a point is column point.nodes of the solve (see the
+    module docstring).
     """
 
     def __init__(self, n: int, s: int) -> None:
         n, s = _validate_ns(n, s)
         a = abs(s)
         d, e, self.scale = _symmetrized(n, a)
-        self.mu, self.w = (eigh_tridiagonal(d, e) if n > 0
-                           else (np.zeros(1), np.ones((1, 1))))
+        _, self.w = eigh_tridiagonal(d, e)
         self.t = build_T_direct(n, a)
         self.n, self.a = n, a
 
     def pair(self, point: SpectralPoint) -> EigenPair:
         """Eigenpolynomial of one point, normalized to p(0) = 1, with its
-        backward error against the integer T.  Raises IllConditionedError
-        above RESIDUAL_LIMIT, NonNormalizableError without a rho^0 term.
+        backward error against the integer T.  Raises ValueError unless
+        point.nodes is a rank 0..n whose coupling is point.kappa (to 1e-8
+        of the largest |kappa|), IllConditionedError above RESIDUAL_LIMIT,
+        NonNormalizableError without a rho^0 term.
         """
         if point.n != self.n or abs(point.s) != self.a:
             raise ValueError("spectral point belongs to a different (n, |s|)")
-        mu = self.mu
-        i = int(np.argmin(np.abs(mu + point.kappa)))
-        if abs(mu[i] + point.kappa) > 1e-8 * max(1.0, float(np.max(np.abs(mu)))):
-            raise ValueError("kappa is not a coupling eigenvalue of T(n, |s|)")
-        v = self.scale * self.w[:, i]
+        k = point.nodes
+        # ascending mirror pairs: the last coupling is the largest |kappa|
+        kappas = _sector_couplings(self.n, self.a)
+        if not 0 <= k <= self.n or abs(kappas[self.n - k] - point.kappa) \
+                > 1e-8 * max(1.0, float(kappas[-1])):
+            raise ValueError(
+                f"kappa is not the coupling of rank {k} in T(n, |s|)")
+        v = self.scale * self.w[:, k]
         if abs(v[0]) <= 1e-12 * float(np.max(np.abs(v))):
             raise NonNormalizableError("eigenvector has no rho^0 component")
         c = v / v[0]
@@ -333,38 +342,35 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:
-    """Dimensionless b = 1/lambda and dimensionful field B = b * B0.
+    """Dimensionless b = 1/lambda, as secular_spectrum set it on the point,
+    and dimensionful field B = b * B0.
 
     The zero-coupling branch has no field attached: lambda = 0 means either
     vanishing Coulomb interaction or the singular B -> 0 limit, so
     ZeroCouplingError is raised.
     """
-    if point.lam == 0.0:
+    b = point.b
+    if b is None:
         raise ZeroCouplingError("b = 1/lambda is undefined at lambda = 0")
     if classify(dp) is not point.case:
         raise ValueError("derived parameters belong to a different case")
     if dp.B0 is None:
         raise ValueError("no characteristic field for this case")
-    b = 1.0 / point.lam
     return b, b * dp.B0
 
 
-def assemble_wavefunction(pair: EigenPair, grid,
-                          dp: DerivedParams | None = None) -> RadialSample:
+def assemble_wavefunction(pair: EigenPair, grid) -> RadialSample:
     """Sample the radial profile zeta = exp(-rho^2/4) rho^|s| p(rho).
 
-    In the scaled radial variable both solvable cases share this profile;
-    dp is only used to cross-check the case when provided.  The grid must
-    be ascending and nonnegative.  Where the Gaussian underflows to 0 the
-    profile is 0, whatever the polynomial factor.
+    In the scaled radial variable both solvable cases share this profile.
+    The grid must be ascending and nonnegative.  Where the Gaussian
+    underflows to 0 the profile is 0, whatever the polynomial factor.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
     if np.any(r < 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
         raise ValueError("grid must be strictly ascending and nonnegative")
-    if dp is not None and classify(dp) is not pair.point.case:
-        raise ValueError("derived parameters belong to a different case")
     a = abs(pair.point.s)
     with np.errstate(over="ignore"):
         gauss = np.exp(-0.25 * r * r)

@@ -66,18 +66,13 @@ def test_primary_02_spot_values():
 
 
 def test_primary_03_spectrum_structure():
-    worst_imag = worst_agree = worst_mirror = 0.0
-    structure_ok = True
+    got = _measured("symmetry", ss=[0, 1, 2])
+    worst_mirror = got["kappa mirror multiset n<=12"]
+    structure_ok = got["positive count and zero membership"] == 0.0
+    worst_imag = worst_agree = 0.0
     for n in range(13):
         for s in (0, 1, 2):
-            pts = secular_spectrum(n, s, EL)
-            kap = np.sort([p.kappa for p in pts])
-            worst_mirror = max(worst_mirror,
-                               float(np.max(np.abs(kap + kap[::-1]))))
-            if any(p.kappa == 0.0 for p in pts) != (n % 2 == 0):
-                structure_ok = False
-            if sum(1 for p in pts if p.kappa > 0.0) != (n + 1) // 2:
-                structure_ok = False
+            kap = np.sort([p.kappa for p in secular_spectrum(n, s, EL)])
             # independent route: dense eigenvalues of the integer operator
             t = build_T_direct(n, s).astype(float)
             ev = np.linalg.eigvals(t)

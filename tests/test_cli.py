@@ -91,6 +91,18 @@ def test_spectrum_usage_errors(capsys):
         assert code == 2 and out == "" and "error" in err
 
 
+def test_range_bounds_are_checked_before_the_list_is_built(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--n", "0..1000000000000")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err == "magpair: error: --n value 65 is outside [0, 64]\n"
+    # the first bad value of a..b is named: a when it is out of range
+    for text, bad in (("-3..70", -3), ("70..80", 70), ("64..66", 65)):
+        code, _, err = run(capsys, "spectrum", "--n", text)
+        assert code == 2 and f"--n value {bad} is outside" in err, text
+
+
 def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum"])
@@ -253,8 +265,8 @@ def test_wavefunction_csv_is_the_generic_table(capsys, monkeypatch, argv,
     samples = []
     real = cli.assemble_wavefunction
 
-    def spy(pair, grid, dp=None):
-        sample = real(pair, grid, dp)
+    def spy(pair, grid):
+        sample = real(pair, grid)
         if synthetic:
             sample = dataclasses.replace(sample, rho=_SPECIAL,
                                          zeta=_SPECIAL[::-1].copy())

@@ -23,3 +23,11 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     assert [x for x in magpair.__all__ if not hasattr(magpair, x)] == []
     assert len(set(magpair.__all__)) == len(magpair.__all__)
+
+
+def test_package_exports_the_union_of_the_library_modules():
+    union = set()
+    for name in MODULES:
+        if name != "cli":
+            union |= set(importlib.import_module(f"magpair.{name}").__all__)
+    assert set(magpair.__all__) == union

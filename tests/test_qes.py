@@ -1,5 +1,6 @@
 """Secular solver: quantized couplings, eigenfunctions, fields, profiles."""
 
+import dataclasses
 import json
 import math
 import time
@@ -61,6 +62,40 @@ def test_pair_coefficients_match_lapack_vectors(n):
             assert list(coeffs) == list(v / v[0]), (n, a, p.kappa)
             built += 1
     assert built >= 3 * (n + 1) // 2
+
+
+def test_rank_column_equals_the_nearest_coupling_column():
+    # the eigenvector of the branch with k nodes is column k of the solve;
+    # the reference finds it by the nearest eigenvalue instead
+    for n in range(MAX_DEGREE + 1):
+        for a in (0, 1, 5, 16, 64):
+            d, e, _ = qes._symmetrized(n, a)
+            mu, _ = qes.eigh_tridiagonal(d, e)
+            for case in (EL, NU):
+                for p in secular_spectrum(n, a, case):
+                    i = int(np.argmin(np.abs(mu + p.kappa)))
+                    assert i == p.nodes, (n, a, case, p.kappa)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_pair_refuses_a_rank_outside_the_sector(n):
+    sector = Sector(n, 1)
+    p = secular_spectrum(n, 1, EL)[0]
+    for nodes in (-1, n + 1):
+        with pytest.raises(ValueError, match="rank"):
+            sector.pair(dataclasses.replace(p, nodes=nodes))
+    if n:
+        # a rank inside 0..n whose coupling is not the point's kappa
+        with pytest.raises(ValueError, match="rank"):
+            sector.pair(dataclasses.replace(p, nodes=n - p.nodes))
+
+
+def test_degree_zero_solves_without_special_cases():
+    assert qes._sector_couplings(0, 3).tolist() == [0.0]
+    [p] = secular_spectrum(0, 3, EL)
+    assert repr(p.kappa) == "0.0" and p.nodes == 0 and p.b is None
+    pair = Sector(0, 3).pair(p)
+    assert pair.polynomial.coeffs == (1.0,) and pair.residual == 0.0
 
 
 def test_couplings_are_solved_once_per_sector(monkeypatch):
@@ -329,9 +364,6 @@ def test_wavefunction_grid_validation():
         assemble_wavefunction(pair, np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         assemble_wavefunction(pair, np.zeros((2, 2)))
-    dpn = derive(ChargePair(1.0, -1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        assemble_wavefunction(pair, np.array([0.0, 1.0]), dpn)
 
 
 def test_wavefunction_is_zero_where_the_gaussian_underflows():
