@@ -12,7 +12,6 @@ import numpy as np
 
 from magpair import (
     CaseTag,
-    Sector,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -34,11 +33,10 @@ def poly_text(coeffs):
 def main():
     for n in range(1, 7):
         print(f"n = {n}, s = 0")
-        sector = Sector(n, 0)
         for p in secular_spectrum(n, 0, CASE):
             if not p.physical:
                 continue
-            pair = sector.pair(p)
+            pair = eigenfunction(n, 0, p)
             print(f"  j = {p.j}  lambda = {p.lam:12.8f}  nodes = {p.nodes}"
                   f"  residual = {pair.residual:.1e}")
             print(f"      p(rho) = {poly_text(pair.polynomial.coeffs)}")

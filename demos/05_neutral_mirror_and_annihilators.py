@@ -17,7 +17,6 @@ import numpy as np
 
 from magpair import (
     CaseTag,
-    Sector,
     annihilation_check,
     commutator_particular_check,
     eigenfunction,
@@ -32,11 +31,10 @@ def mirror(n, s):
           if p.physical}
     nu = {p.j: p for p in secular_spectrum(n, s, CaseTag.NEUTRAL)
           if p.physical}
-    sector = Sector(n, s)
     for j in sorted(el):
         pe, pn = el[j], nu[j]
-        ce = sector.pair(pe).polynomial
-        cn = sector.pair(pn).polynomial
+        ce = eigenfunction(n, s, pe).polynomial
+        cn = eigenfunction(n, s, pn).polynomial
         dev = max(abs(x - y) for x, y in zip(parity_flip(ce).coeffs, cn.coeffs))
         print(f"  n={n} j={j}: kappa {pe.kappa:+.6f} / {pn.kappa:+.6f}  "
               f"b equal: {pe.b == pn.b}  flip dev {dev:.1e}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyops import Polynomial
-from .qes import Sector, secular_spectrum
+from .qes import eigenfunction, secular_spectrum
 from .system import CaseTag
 
 __all__ = [
@@ -304,13 +304,12 @@ def compare_catalog_with_solver(n: int, s: int) -> CatalogComparison:
     """
     points = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
     candidates = [p for p in points if p.kappa >= 0.0]
-    sector = Sector(n, s)
     rows = []
     notes: list[str] = []
     for j, lam_cf in enumerate(closed_form_lambdas(n, s), start=1):
         best = min(candidates, key=lambda p: abs(p.lam - lam_cf))
         rel = abs(best.lam - lam_cf) / max(1.0, abs(best.lam))
-        pair = sector.pair(best)
+        pair = eigenfunction(n, s, best)
         p_cf = catalog_polynomial(n, s, j)
         diff = np.abs(np.asarray(pair.polynomial.coeffs) - np.asarray(p_cf.coeffs))
         worst = int(np.argmax(diff))

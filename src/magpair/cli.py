@@ -46,7 +46,6 @@ from .qes import (
     MAX_DEGREE,
     IllConditionedError,
     NonNormalizableError,
-    Sector,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -378,14 +377,13 @@ def _checks_symmetry(ns, ss) -> list[Check]:
                 continue
             nu = {p.j: p for p in secular_spectrum(n, s, CaseTag.NEUTRAL)
                   if p.physical}
-            sector = Sector(n, s)
             for pe in pts:
                 if not pe.physical:
                     continue
                 pn = nu[pe.j]
                 bshare = max(bshare, abs(pn.b - pe.b), abs(pn.kappa + pe.kappa))
-                ce = sector.pair(pe).polynomial
-                cn = sector.pair(pn).polynomial
+                ce = eigenfunction(n, s, pe).polynomial
+                cn = eigenfunction(n, s, pn).polynomial
                 coeff = max(coeff, max(abs(x - y) for x, y in
                                        zip(parity_flip(ce).coeffs, cn.coeffs)))
     out = [
@@ -449,9 +447,8 @@ def _checks_residuals(ns, ss) -> list[Check]:
     ss_solver, ss_closed = _scope((0, 1, 2, 5), ss), _scope(range(6), ss)
     for n in ns_solver:
         for s in ss_solver:
-            sector = Sector(n, s)
             for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
-                solver = max(solver, sector.pair(p).residual)
+                solver = max(solver, eigenfunction(n, s, p).residual)
     for n in ns_closed:
         for s in ss_closed:
             t = build_T_direct(n, s)
@@ -551,11 +548,10 @@ def _checks_annihilator(ns, ss) -> list[Check]:
                          beyond, 1.0, ">="))
     if 3 in ns and 1 in ss:
         grid = np.linspace(0.25, 12.0, 48)
-        sector = Sector(3, 1)
         for case, label in ((CaseTag.EQUAL_LARMOR, "equal-Larmor"),
                             (CaseTag.NEUTRAL, "neutral")):
             pts = [p for p in secular_spectrum(3, 1, case) if p.j == 1]
-            pair = sector.pair(pts[0])
+            pair = eigenfunction(3, 1, pts[0])
             g = gauge_rotated_action(pair, grid)
             z = assemble_wavefunction(pair, grid).zeta
             rel = float(np.max(np.abs(g)) / np.max(np.abs(z)))

@@ -61,7 +61,6 @@ __all__ = [
     "MAX_DEGREE",
     "NonNormalizableError",
     "RadialSample",
-    "Sector",
     "SpectralPoint",
     "ZeroCouplingError",
     "assemble_wavefunction",
@@ -199,6 +198,23 @@ def _sector_couplings(n: int, a: int) -> np.ndarray:
     return k
 
 
+@functools.lru_cache(maxsize=128)
+def _sector_vectors(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Back-transformed eigenvectors of T(n, a), column k for the branch
+    with k nodes, and the integer T(n, a), both read-only.
+
+    One solve with vectors per sector.  128 entries hold every sector that
+    `verify` (70) or an n <= 12, |s| <= 7 spectrum table (104) pairs, in
+    under 10 MB even at n = 64.  The couplings stay with _sector_couplings, so they
+    never depend on whether vectors were asked for.
+    """
+    d, e, scale = _symmetrized(n, a)
+    _, w = eigh_tridiagonal(d, e)
+    vectors, t = scale[:, None] * w, build_T_direct(n, a)
+    vectors.flags.writeable = t.flags.writeable = False
+    return vectors, t
+
+
 @functools.lru_cache(maxsize=MAX_DEGREE + 1)
 def _branch_order(n: int) -> tuple[int, ...]:
     """Indices into a sector's ascending couplings in the order descending
@@ -290,55 +306,35 @@ def _coefficient_residual(c: np.ndarray, t: np.ndarray, kappa: float) -> float:
     return float(np.max(np.abs(r)) / np.max(np.abs(c)))
 
 
-class Sector:
-    """Every eigenpair of T(n, |s|) from one symmetric tridiagonal solve.
-
-    Points of either sign of s and of either case share a sector.  The
-    eigenvector of a point is column point.nodes of the solve (see the
-    module docstring).
-    """
-
-    def __init__(self, n: int, s: int) -> None:
-        n, s = _validate_ns(n, s)
-        a = abs(s)
-        d, e, self.scale = _symmetrized(n, a)
-        _, self.w = eigh_tridiagonal(d, e)
-        self.t = build_T_direct(n, a)
-        self.n, self.a = n, a
-
-    def pair(self, point: SpectralPoint) -> EigenPair:
-        """Eigenpolynomial of one point, normalized to p(0) = 1, with its
-        backward error against the integer T.  Raises ValueError unless
-        point.nodes is a rank 0..n whose coupling is point.kappa (to 1e-8
-        of the largest |kappa|), IllConditionedError above RESIDUAL_LIMIT,
-        NonNormalizableError without a rho^0 term.
-        """
-        if point.n != self.n or abs(point.s) != self.a:
-            raise ValueError("spectral point belongs to a different (n, |s|)")
-        k = point.nodes
-        # ascending mirror pairs: the last coupling is the largest |kappa|
-        kappas = _sector_couplings(self.n, self.a)
-        if not 0 <= k <= self.n or abs(kappas[self.n - k] - point.kappa) \
-                > 1e-8 * max(1.0, float(kappas[-1])):
-            raise ValueError(
-                f"kappa is not the coupling of rank {k} in T(n, |s|)")
-        v = self.scale * self.w[:, k]
-        if abs(v[0]) <= 1e-12 * float(np.max(np.abs(v))):
-            raise NonNormalizableError("eigenvector has no rho^0 component")
-        c = v / v[0]
-        res = _coefficient_residual(c, self.t, point.kappa)
-        if res > RESIDUAL_LIMIT:
-            raise IllConditionedError(
-                f"eigenvector residual {res:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-        poly = Polynomial(tuple(float(x) for x in c))
-        return EigenPair(point=point, polynomial=poly, residual=res)
-
-
 def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
-    """Polynomial eigenfunction of one spectral point; see Sector.pair."""
+    """Eigenpolynomial of one spectral point of the (n, s) sector,
+    normalized to p(0) = 1, with its backward error against the integer T.
+
+    The eigenvector is column point.nodes of the sector's cached solve
+    (see the module docstring), which points of either sign of s and of
+    either case share.  Raises ValueError unless point belongs to (n, s)
+    and point.nodes is a rank 0..n whose coupling is exactly point.kappa,
+    IllConditionedError above RESIDUAL_LIMIT, NonNormalizableError without
+    a rho^0 term.
+    """
+    n, s = _validate_ns(n, s)
     if point.n != n or point.s != s:
         raise ValueError("spectral point belongs to a different (n, s)")
-    return Sector(n, s).pair(point)
+    a, k = abs(s), point.nodes
+    if not 0 <= k <= n or _sector_couplings(n, a)[n - k] != point.kappa:
+        raise ValueError(
+            f"kappa is not the coupling of rank {k} in T(n, |s|)")
+    vectors, t = _sector_vectors(n, a)
+    v = vectors[:, k]
+    if abs(v[0]) <= 1e-12 * float(np.max(np.abs(v))):
+        raise NonNormalizableError("eigenvector has no rho^0 component")
+    c = v / v[0]
+    res = _coefficient_residual(c, t, point.kappa)
+    if res > RESIDUAL_LIMIT:
+        raise IllConditionedError(
+            f"eigenvector residual {res:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+    poly = Polynomial(tuple(float(x) for x in c))
+    return EigenPair(point=point, polynomial=poly, residual=res)
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:
@@ -363,13 +359,14 @@ def assemble_wavefunction(pair: EigenPair, grid) -> RadialSample:
     """Sample the radial profile zeta = exp(-rho^2/4) rho^|s| p(rho).
 
     In the scaled radial variable both solvable cases share this profile.
-    The grid must be ascending and nonnegative.  Where the Gaussian
-    underflows to 0 the profile is 0, whatever the polynomial factor.
+    The grid must be ascending and nonnegative (NaN is neither).  Where
+    the Gaussian underflows to 0 the profile is 0, whatever the polynomial
+    factor.
     """
     r = np.asarray(grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
-    if np.any(r < 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
+    if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
         raise ValueError("grid must be strictly ascending and nonnegative")
     a = abs(pair.point.s)
     with np.errstate(over="ignore"):

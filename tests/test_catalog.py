@@ -56,6 +56,7 @@ def test_comparison_solves_its_sector_once(monkeypatch):
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
         kw.get("eigvals_only", False)) or real(*a, **kw))
     qes._sector_couplings.cache_clear()
+    qes._sector_vectors.cache_clear()
     assert len(compare_catalog_with_solver(8, 1).branches) == 4
     assert calls == [True, False]
 

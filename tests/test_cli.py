@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import magpair
-from magpair import cli, qes
+from magpair import catalog, cli, qes
 from magpair.qes import IllConditionedError
 
 SQ6 = math.sqrt(6.0)
@@ -177,8 +177,35 @@ def test_spectrum_solves_each_sector_once(capsys, monkeypatch):
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
         kw.get("eigvals_only", False)) or real(*a, **kw))
     qes._sector_couplings.cache_clear()
+    qes._sector_vectors.cache_clear()
     code, _, _ = run(capsys, "spectrum", "--n", "6", "--s", "1")
     assert code == 0 and calls == [True]
+
+
+def test_each_sector_is_solved_for_vectors_once(capsys, monkeypatch):
+    solves, built, paired = [], [], set()
+    real_solve, real_build = qes.eigh_tridiagonal, qes.build_T_direct
+    monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: solves.append(
+        kw.get("eigvals_only", False)) or real_solve(*a, **kw))
+    monkeypatch.setattr(qes, "build_T_direct", lambda n, a: built.append(
+        (n, a)) or real_build(n, a))
+    for site in (cli, catalog):
+        monkeypatch.setattr(site, "eigenfunction",
+                            lambda n, s, p, real=site.eigenfunction:
+                            paired.add((n, abs(s))) or real(n, s, p))
+    qes._sector_couplings.cache_clear()
+    qes._sector_vectors.cache_clear()
+    assert all(c.passed for c in cli.run_verification())
+    # one solve with vectors, and one integer T, per distinct (n, |s|)
+    # paired, however many branches and cases each sector serves
+    assert sorted(built) == sorted(paired) and len(paired) == 70
+    assert solves.count(False) == 70
+
+    # a repeated sector costs no solve of either kind
+    first = run(capsys, "wavefunction", "--n", "12", "--s", "3")
+    solves.clear()
+    assert run(capsys, "wavefunction", "--n", "12", "--s", "3") == first
+    assert first[0] == 0 and solves == []
 
 
 _IMPORT_PATH_PROBE = """

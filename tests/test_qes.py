@@ -13,7 +13,6 @@ from magpair.oracle import fd_kappa_spectrum, oracle_match
 from magpair.polyops import parity_flip
 from magpair.qes import (
     MAX_DEGREE,
-    Sector,
     SpectralPoint,
     ZeroCouplingError,
     assemble_wavefunction,
@@ -52,10 +51,9 @@ def test_pair_coefficients_match_lapack_vectors(n):
     for a in (0, 1, 5):
         d, e, scale = qes._symmetrized(n, a)
         mu, w = eigh_tridiagonal(d, e)
-        sector = Sector(n, a)
         for p in secular_spectrum(n, a, EL):
             try:
-                coeffs = sector.pair(p).polynomial.coeffs
+                coeffs = eigenfunction(n, a, p).polynomial.coeffs
             except (qes.IllConditionedError, qes.NonNormalizableError):
                 continue  # refused at n = 64 (ROADMAP item 6)
             v = scale * w[:, int(np.argmin(np.abs(mu + p.kappa)))]
@@ -79,22 +77,26 @@ def test_rank_column_equals_the_nearest_coupling_column():
 
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_pair_refuses_a_rank_outside_the_sector(n):
-    sector = Sector(n, 1)
     p = secular_spectrum(n, 1, EL)[0]
     for nodes in (-1, n + 1):
         with pytest.raises(ValueError, match="rank"):
-            sector.pair(dataclasses.replace(p, nodes=nodes))
+            eigenfunction(n, 1, dataclasses.replace(p, nodes=nodes))
     if n:
         # a rank inside 0..n whose coupling is not the point's kappa
         with pytest.raises(ValueError, match="rank"):
-            sector.pair(dataclasses.replace(p, nodes=n - p.nodes))
+            eigenfunction(n, 1, dataclasses.replace(p, nodes=n - p.nodes))
+    # the point and the check read the same cached couplings, so one ulp
+    # off is already a different coupling
+    with pytest.raises(ValueError, match="rank"):
+        eigenfunction(n, 1, dataclasses.replace(
+            p, kappa=float(np.nextafter(p.kappa, np.inf))))
 
 
 def test_degree_zero_solves_without_special_cases():
     assert qes._sector_couplings(0, 3).tolist() == [0.0]
     [p] = secular_spectrum(0, 3, EL)
     assert repr(p.kappa) == "0.0" and p.nodes == 0 and p.b is None
-    pair = Sector(0, 3).pair(p)
+    pair = eigenfunction(0, 3, p)
     assert pair.polynomial.coeffs == (1.0,) and pair.residual == 0.0
 
 
@@ -166,13 +168,29 @@ def test_eigenpairs_basic_shape():
             assert pair.residual <= 1e-12
 
 
-def test_sector_serves_both_signs_and_cases():
-    sector = Sector(3, -2)
-    for s, case in ((2, EL), (-2, NU)):
-        for p in secular_spectrum(3, s, case):
-            assert sector.pair(p) == eigenfunction(3, s, p)
+def test_sector_serves_both_signs_and_cases(monkeypatch):
+    # (3, 2) and (3, -2) in both cases: 16 pairs from one vector solve
+    calls, real = [], qes.eigh_tridiagonal
+    monkeypatch.setattr(qes, "eigh_tridiagonal", lambda d, e, **kw: calls.append(
+        kw.get("eigvals_only", False)) or real(d, e, **kw))
+    qes._sector_couplings.cache_clear()
+    qes._sector_vectors.cache_clear()
+    coeffs = {}
+    for s in (2, -2):
+        for case in (EL, NU):
+            for p in secular_spectrum(3, s, case):
+                pair = eigenfunction(3, s, p)
+                assert pair.point is p and pair.residual <= 1e-12
+                coeffs.setdefault(p.kappa, set()).add(pair.polynomial)
+    assert calls == [True, False]
+    # the polynomial depends on kappa alone, not on the sign of s or the case
+    assert len(coeffs) == 4 and all(len(c) == 1 for c in coeffs.values())
+    vectors, t = qes._sector_vectors(3, 2)
+    assert not vectors.flags.writeable and not t.flags.writeable
     with pytest.raises(ValueError):
-        sector.pair(physical(3, 1)[0])
+        eigenfunction(3, 2, physical(3, 1)[0])
+    with pytest.raises(ValueError, match="different"):
+        eigenfunction(3, -2, physical(3, 2)[0])
 
 
 def test_spot_values_s0():
@@ -184,6 +202,25 @@ def test_spot_values_s0():
     lams4 = sorted(p.lam for p in physical(4, 0))
     assert lams4 == pytest.approx([25.0 - 3.0 * math.sqrt(33.0),
                                    25.0 + 3.0 * math.sqrt(33.0)], rel=1e-13)
+
+
+def test_every_physical_field_is_at_most_one():
+    # the paper's b <= 1 over the whole supported range, with equality only
+    # at (n, |s|) = (1, 0), where kappa = +/-1 exactly; every other b stays
+    # below 0.7 (the next smallest |kappa| is 1.2066 at (3, 0)), so a float
+    # comparison cannot be tipped by rounding.  The sign of s does not enter
+    # the couplings.
+    top, rest = [], 0.0
+    for n in range(MAX_DEGREE + 1):
+        for s in range(MAX_DEGREE + 1):
+            for case in (EL, NU):
+                for p in physical(n, s, case):
+                    if (n, s) == (1, 0):
+                        top.append(p.b)
+                    else:
+                        rest = max(rest, p.b)
+    assert top == [1.0, 1.0]
+    assert 0.68 < rest < 0.7
 
 
 def test_neutral_branch_is_parity_mirror():
@@ -249,7 +286,7 @@ def test_spectrum_validations():
         eigenfunction(2, 0, bogus)
 
 
-def test_integral_n_and_s_of_any_type_give_python_ints():
+def test_integral_n_and_s_of_any_type_give_python_ints(monkeypatch):
     # numpy integers and integral floats are accepted as n and s, and the
     # points carry plain ints, so to_dict() stays JSON-ready
     for n, s in ((np.int64(3), 1), (3, np.int64(-1)), (2.0, 0), (3, 1.0)):
@@ -260,16 +297,22 @@ def test_integral_n_and_s_of_any_type_give_python_ints():
             assert type(p.n) is int and type(p.nodes) is int
             assert type(p.s) is int
             json.dumps(p.to_dict())
-    sector = Sector(2.0, 0)
-    assert type(sector.n) is int and type(sector.a) is int
-    pair = sector.pair(physical(2, 0)[0])
-    assert pair.residual <= 1e-12
-    assert type(Sector(np.int64(2), np.int64(-1)).n) is int
+    # ... and by eigenfunction, whose cached solve is keyed by plain ints
+    keys, real = [], qes.build_T_direct
+    monkeypatch.setattr(qes, "build_T_direct", lambda n, a: keys.append(
+        (type(n), type(a))) or real(n, a))
+    qes._sector_vectors.cache_clear()
+    for n, s in ((2.0, 0), (np.int64(2), np.int64(-1)), (np.int64(3), 1.0)):
+        p = physical(int(n), int(s))[0]
+        pair = eigenfunction(n, s, p)
+        assert pair.residual <= 1e-12
+        assert pair == eigenfunction(int(n), int(s), p)
+    assert keys == [(int, int)] * 3
     for n in (2.5, np.float64(1.5)):
         with pytest.raises(ValueError):
             secular_spectrum(n, 0, EL)
         with pytest.raises(ValueError):
-            Sector(n, 0)
+            eigenfunction(n, 0, physical(2, 0)[0])
 
 
 def _sorted_spectrum(n, s, case, dp=None):
@@ -366,6 +409,15 @@ def test_wavefunction_grid_validation():
         assemble_wavefunction(pair, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 2.0], [math.nan]])
+def test_wavefunction_grid_rejects_nan(grid):
+    # NaN is neither nonnegative nor ascending; it used to slip through
+    # both checks and come back as zeta = 0
+    pair = eigenfunction(1, 0, physical(1, 0)[0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        assemble_wavefunction(pair, np.array(grid))
+
+
 def test_wavefunction_is_zero_where_the_gaussian_underflows():
     pair = eigenfunction(6, 3, physical(6, 3)[-1])
     grid = np.array([0.0, 1.0, 60.0, 1e200, 1e300])
@@ -399,9 +451,9 @@ def test_residual_interface_guards():
 def test_node_laws_beyond_n12(n, a):
     # up to n = 20 the float64 coefficients are accurate enough for an
     # exact root count of the stored polynomial to witness the rank
-    sector = Sector(n, a)
     for p in secular_spectrum(n, a, EL):
-        assert count_positive_roots(sector.pair(p).polynomial) == p.nodes, p
+        assert count_positive_roots(eigenfunction(n, a, p).polynomial) \
+            == p.nodes, p
 
 
 @pytest.mark.parametrize("a", [0, 5])
