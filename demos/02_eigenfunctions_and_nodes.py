@@ -47,7 +47,7 @@ def main():
     pts = [p for p in secular_spectrum(5, 0, CASE) if p.physical]
     print("zeta(rho) on", grid.tolist())
     for p in pts[:2]:
-        z = assemble_wavefunction(eigenfunction(5, 0, p), grid).zeta
+        z = assemble_wavefunction(eigenfunction(5, 0, p), grid)
         print(f"  j = {p.j}:", " ".join(f"{v:9.2e}" for v in z))
 
 

@@ -11,6 +11,7 @@ are dyadic, which the residual column makes visible.
 import numpy as np
 
 from magpair import (
+    LAGUERRE_ARGUMENT_NOTE,
     ChargePair,
     CMState,
     casimir_identity_check,
@@ -37,9 +38,9 @@ def main():
 
     # radial orbital of the N = 2, S = 1 level; N sign changes
     grid = np.linspace(0.0, 5.0, 11)
-    sample = cm_wavefunction(CMState(2, 1), dp, grid)
-    print("\nchi(R), N = 2, S = 1:", " ".join(f"{v:8.1e}" for v in sample.chi))
-    print("convention:", sample.note)
+    chi = cm_wavefunction(CMState(2, 1), dp, grid)
+    print("\nchi(R), N = 2, S = 1:", " ".join(f"{v:8.1e}" for v in chi))
+    print("convention:", LAGUERRE_ARGUMENT_NOTE)
 
 
 if __name__ == "__main__":

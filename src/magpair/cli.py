@@ -5,7 +5,7 @@ Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including
 an `--out` path that cannot be written), 3 solver failure (ill-conditioned
-or non-normalizable eigenvector).
+eigenvector).
 
 `main` may be called repeatedly in one process; every call shares one
 argument parser, built on the first call.
@@ -45,7 +45,6 @@ from .polyops import parity_flip
 from .qes import (
     MAX_DEGREE,
     IllConditionedError,
-    NonNormalizableError,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -224,21 +223,20 @@ def _cmd_wavefunction(args) -> str:
     if not match:
         raise _UsageError(
             f"no physical branch j = {args.j} at n = {n}, s = {s}")
-    pair = eigenfunction(n, s, match[0])
-    sample = assemble_wavefunction(pair, grid)
+    zeta = assemble_wavefunction(eigenfunction(n, s, match[0]), grid)
 
     meta = {"command": "wavefunction", "n": n, "s": s, "j": args.j,
             "lambda": _jnum(match[0].lam), "case": case.value}
     header = ["rho", "zeta"]
     if args.format == "json":
         rows = [{"rho": r, "zeta": z}
-                for r, z in zip(sample.rho.tolist(), sample.zeta.tolist())]
+                for r, z in zip(grid.tolist(), zeta.tolist())]
         return _render("json", meta, header, rows)
     comments = tuple(f"{k}={_fmt(v)}" for k, v in meta.items()
                      if k != "command")
     # the numeric body in one % pass: %.15g is _fmt's conversion, and
     # + 0.0 normalizes -0.0 across the array as _fmt does per cell
-    t = np.column_stack((sample.rho, sample.zeta)) + 0.0
+    t = np.column_stack((grid, zeta)) + 0.0
     body = ("%.15g,%.15g\n" * len(t)) % tuple(t.ravel().tolist())
     return _render("csv", meta, header, [], comments) + body
 
@@ -553,7 +551,7 @@ def _checks_annihilator(ns, ss) -> list[Check]:
             pts = [p for p in secular_spectrum(3, 1, case) if p.j == 1]
             pair = eigenfunction(3, 1, pts[0])
             g = gauge_rotated_action(pair, grid)
-            z = assemble_wavefunction(pair, grid).zeta
+            z = assemble_wavefunction(pair, grid)
             rel = float(np.max(np.abs(g)) / np.max(np.abs(z)))
             out.append(Check("annihilator", f"gauge-dressed action {label}",
                              rel, 1e-12, "<="))
@@ -705,7 +703,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"magpair: error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, NonNormalizableError) as exc:
+    except IllConditionedError as exc:
         print(f"magpair: solver failure: {exc}", file=sys.stderr)
         return 3
     return 0 if ok else 1

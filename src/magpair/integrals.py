@@ -19,12 +19,12 @@ identically zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .polyops import Polynomial, evaluate
-from .qes import EigenPair
+from .polyops import Polynomial
+from .qes import EigenPair, assemble_wavefunction
 from .sl2rep import build_T_direct
 
 __all__ = [
@@ -118,16 +118,13 @@ def gauge_rotated_action(pair: EigenPair, grid) -> np.ndarray:
 
     The dressed operator is zeta0 i_n zeta0^{-1} with zeta0 =
     exp(-r^2/4) r^|s|, so its action on zeta = zeta0 p is exactly
-    zeta0 (i_n p): apply the diagonal i_n to the coefficients, then
-    multiply by the sampled gauge factor.  No numerical differentiation
-    is involved.  For an eigenpair polynomial (degree <= n) the result is
-    identically zero.
+    zeta0 (i_n p): apply the diagonal i_n to the coefficients and sample
+    the image with assemble_wavefunction, which validates the grid and
+    gives 0 wherever the Gaussian underflows.  No numerical
+    differentiation is involved.  For an eigenpair polynomial
+    (degree <= n) the result is identically zero.
     """
-    r = np.asarray(grid, dtype=float)
-    n = pair.point.n
-    a = abs(pair.point.s)
     coeffs = np.asarray(pair.polynomial.coeffs, dtype=float)
-    ann = build_annihilator(n, dim=len(coeffs))
-    image = ann.astype(float) @ coeffs
-    zeta0 = np.exp(-0.25 * r * r) * np.power(r, a)
-    return zeta0 * evaluate(Polynomial(tuple(image)), r)
+    ann = build_annihilator(pair.point.n, dim=len(coeffs))
+    image = Polynomial(tuple(ann.astype(float) @ coeffs))
+    return assemble_wavefunction(replace(pair, polynomial=image), grid)

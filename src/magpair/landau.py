@@ -17,7 +17,6 @@ import numpy as np
 from .system import DerivedParams
 
 __all__ = [
-    "CMSample",
     "CMState",
     "LAGUERRE_ARGUMENT_NOTE",
     "casimir_identity_check",
@@ -27,11 +26,11 @@ __all__ = [
     "pseudomomentum_sq",
 ]
 
-#: The sampled CM orbital pairs the Gaussian exp(-M omega_c R^2 / 4) with
-#: the Laguerre argument 2 R^2 / (M omega_c).  A dimensionally uniform
+#: cm_wavefunction pairs the Gaussian exp(-M omega_c R^2 / 4) with the
+#: Laguerre argument 2 R^2 / (M omega_c).  A dimensionally uniform
 #: oscillator profile would carry M omega_c R^2 / 2 inside the Laguerre
-#: polynomial as well; the mixed convention is kept on purpose here and
-#: travels with every sample so consumers can tell which one they got.
+#: polynomial as well; the mixed convention is kept on purpose, and this
+#: exported note states it for consumers that print or store samples.
 LAGUERRE_ARGUMENT_NOTE = "laguerre argument 2 R^2 / (M omega_c); gaussian exponent M omega_c R^2 / 4"
 
 
@@ -47,16 +46,6 @@ class CMState:
             raise ValueError("N must be a nonnegative integer")
         if int(self.S) != self.S:
             raise ValueError("S must be an integer")
-
-
-@dataclass(frozen=True)
-class CMSample:
-    """Radial CM orbital R^|S| exp(-M omega_c R^2/4) L_N^(|S|) on a grid."""
-
-    R: np.ndarray
-    chi: np.ndarray
-    state: CMState
-    note: str
 
 
 def laguerre(N: int, alpha: float, x):
@@ -101,8 +90,9 @@ def casimir_identity_check(state: CMState, dp: DerivedParams) -> float:
     return k2 - 2.0 * dp.q * dp.B * state.S - 2.0 * dp.M * cm_energy(state, dp)
 
 
-def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> CMSample:
-    """Sample the radial CM orbital on a nonnegative ascending grid.
+def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
+    """Samples of the radial CM orbital on a strictly ascending,
+    nonnegative grid (NaN is neither).
 
     chi(R) = R^|S| exp(-M omega_c R^2 / 4) L_N^(|S|)(2 R^2 / (M omega_c));
     see LAGUERRE_ARGUMENT_NOTE for the argument convention.  Requires a
@@ -113,10 +103,9 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> CMSample:
     r = np.asarray(R_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("R_grid must be a nonempty 1-D array")
-    if np.any(r < 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
+    if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
         raise ValueError("R_grid must be strictly ascending and nonnegative")
     s_abs = abs(state.S)
     m_om = dp.M * dp.omega_c
-    chi = (np.power(r, s_abs) * np.exp(-0.25 * m_om * r * r)
-           * laguerre(state.N, float(s_abs), 2.0 * r * r / m_om))
-    return CMSample(R=r, chi=chi, state=state, note=LAGUERRE_ARGUMENT_NOTE)
+    return (np.power(r, s_abs) * np.exp(-0.25 * m_om * r * r)
+            * laguerre(state.N, float(s_abs), 2.0 * r * r / m_om))

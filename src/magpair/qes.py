@@ -59,8 +59,6 @@ __all__ = [
     "EigenPair",
     "IllConditionedError",
     "MAX_DEGREE",
-    "NonNormalizableError",
-    "RadialSample",
     "SpectralPoint",
     "ZeroCouplingError",
     "assemble_wavefunction",
@@ -81,12 +79,8 @@ class ZeroCouplingError(ValueError):
     """The lambda = 0 branch has no magnetic field attached (b = 1/lambda)."""
 
 
-class NonNormalizableError(ValueError):
-    """Eigenvector has no rho^0 component, so p(0) = 1 cannot be imposed."""
-
-
 class IllConditionedError(RuntimeError):
-    """Eigenvector residual exceeded RESIDUAL_LIMIT."""
+    """Eigenvector lost to rounding (its rho^0 component or residual)."""
 
 
 @dataclass(frozen=True)
@@ -126,17 +120,6 @@ class EigenPair:
     point: SpectralPoint
     polynomial: Polynomial
     residual: float
-
-
-@dataclass(frozen=True)
-class RadialSample:
-    """zeta(rho) = exp(-gauss_coefficient rho^2) rho^s_abs p(rho) on a grid."""
-
-    rho: np.ndarray
-    zeta: np.ndarray
-    s_abs: int
-    gauss_coefficient: float
-    point: SpectralPoint
 
 
 def _validate_ns(n: int, s: int) -> tuple[int, int]:
@@ -314,8 +297,9 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
     (see the module docstring), which points of either sign of s and of
     either case share.  Raises ValueError unless point belongs to (n, s)
     and point.nodes is a rank 0..n whose coupling is exactly point.kappa,
-    IllConditionedError above RESIDUAL_LIMIT, NonNormalizableError without
-    a rho^0 term.
+    and IllConditionedError when rounding leaves the rho^0 component below
+    1e-12 of the largest (it is never zero in exact arithmetic, see the
+    module docstring) or the residual above RESIDUAL_LIMIT.
     """
     n, s = _validate_ns(n, s)
     if point.n != n or point.s != s:
@@ -327,7 +311,7 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
     vectors, t = _sector_vectors(n, a)
     v = vectors[:, k]
     if abs(v[0]) <= 1e-12 * float(np.max(np.abs(v))):
-        raise NonNormalizableError("eigenvector has no rho^0 component")
+        raise IllConditionedError("eigenvector has no rho^0 component")
     c = v / v[0]
     res = _coefficient_residual(c, t, point.kappa)
     if res > RESIDUAL_LIMIT:
@@ -355,8 +339,8 @@ def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, 
     return b, b * dp.B0
 
 
-def assemble_wavefunction(pair: EigenPair, grid) -> RadialSample:
-    """Sample the radial profile zeta = exp(-rho^2/4) rho^|s| p(rho).
+def assemble_wavefunction(pair: EigenPair, grid) -> np.ndarray:
+    """Radial profile zeta = exp(-rho^2/4) rho^|s| p(rho) sampled on grid.
 
     In the scaled radial variable both solvable cases share this profile.
     The grid must be ascending and nonnegative (NaN is neither).  Where
@@ -375,5 +359,4 @@ def assemble_wavefunction(pair: EigenPair, grid) -> RadialSample:
     zeta = np.zeros_like(r)
     x = r[live]
     zeta[live] = gauss[live] * np.power(x, a) * evaluate(pair.polynomial, x)
-    return RadialSample(rho=r, zeta=zeta, s_abs=a, gauss_coefficient=0.25,
-                        point=pair.point)
+    return zeta

@@ -1,4 +1,9 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints its stored output.
+
+tests/golden/demos/<name>.out holds the exact stdout of demos/<name>.py.
+To accept an intended change, regenerate the file from the demo and say
+why in the change log.
+"""
 
 import pathlib
 import subprocess
@@ -7,6 +12,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
@@ -14,5 +20,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def test_demo_exits_cleanly(demo):
     # the demos find magpair the way the tests do: installed or on PYTHONPATH
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()

@@ -90,3 +90,24 @@ def test_dressed_action_sees_nonmembers():
     # only the rho^3 component survives i_2, with weight 3!
     want = (np.exp(-0.25 * grid ** 2) * math.factorial(3) * grid ** 3)
     assert np.allclose(out, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("grid", [[-1.0, 0.5], [1.0, 0.5], [0.0, math.nan]])
+def test_dressed_action_validates_its_grid(grid):
+    pair = eigenfunction(3, 1, secular_spectrum(3, 1, EL)[0])
+    with pytest.raises(ValueError, match="ascending and nonnegative"):
+        gauge_rotated_action(pair, np.array(grid))
+
+
+def test_dressed_action_is_zero_where_the_gaussian_underflows():
+    # a degree n + 1 polynomial survives i_n, and far out r^|s| overflows
+    # where the Gaussian is already 0: the product is 0, not 0 * inf
+    point = secular_spectrum(2, 2, EL)[0]
+    intruder = EigenPair(point=point,
+                         polynomial=Polynomial((1.0, 0.0, 0.0, 1.0)),
+                         residual=0.0)
+    grid = np.array([0.0, 1.0, 60.0, 1e200, 1e300])
+    with np.errstate(invalid="raise"):
+        out = gauge_rotated_action(intruder, grid)
+    assert out[1] == math.exp(-0.25) * 1.0 * 6.0
+    assert list(out[2:]) == [0.0, 0.0, 0.0]

@@ -94,20 +94,19 @@ def test_state_validation():
 
 def test_ground_orbital_is_pure_gaussian():
     grid = np.linspace(0.0, 4.0, 33)
-    sample = cm_wavefunction(CMState(0, 0), DYADIC, grid)
+    chi = cm_wavefunction(CMState(0, 0), DYADIC, grid)
     want = np.exp(-0.25 * DYADIC.M * DYADIC.omega_c * grid ** 2)
-    assert np.array_equal(sample.chi, want)
-    assert sample.note == LAGUERRE_ARGUMENT_NOTE
-    assert sample.state == CMState(0, 0)
+    assert np.array_equal(chi, want)
+    assert "2 R^2 / (M omega_c)" in LAGUERRE_ARGUMENT_NOTE
 
 
 def test_orbital_node_count_and_origin():
     N, S = 3, 1
     dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))  # M = 2, omega_c = 1
     grid = np.linspace(0.0, 6.0, 601)
-    sample = cm_wavefunction(CMState(N, S), dp, grid)
-    assert sample.chi[0] == 0.0  # R^|S| kills the origin for S != 0
-    body = sample.chi[1:]
+    chi = cm_wavefunction(CMState(N, S), dp, grid)
+    assert chi[0] == 0.0  # R^|S| kills the origin for S != 0
+    body = chi[1:]
     signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(body))])
     assert int(np.sum(signs[1:] != signs[:-1])) == N
     # same count from the explicit Laguerre coefficients, exactly
@@ -123,7 +122,9 @@ def test_orbital_rejects_neutral_pair():
 
 
 def test_orbital_grid_validation():
+    # NaN is neither nonnegative nor ascending
     for bad in (np.array([1.0, 0.5]), np.array([-1.0, 0.5]),
-                np.zeros((2, 2)), np.array([])):
+                np.zeros((2, 2)), np.array([]),
+                np.array([0.0, math.nan, 2.0]), np.array([math.nan])):
         with pytest.raises(ValueError):
             cm_wavefunction(CMState(0, 0), DYADIC, bad)

@@ -90,7 +90,7 @@ def test_eigenvector_profile_agrees_pointwise():
     res = fd_kappa_spectrum(n, s, default_grid(n, s, num_points=1501))
     point = [p for p in secular_spectrum(n, s, EL) if p.physical][0]
     pair = eigenfunction(n, s, point)
-    zeta = assemble_wavefunction(pair, res.r).zeta
+    zeta = assemble_wavefunction(pair, res.r)
     vec = res.vectors[:, -1].copy()  # largest kappa column
     i0 = int(np.argmax(np.abs(zeta)))
     vec *= zeta[i0] / vec[i0]

@@ -54,7 +54,7 @@ def test_pair_coefficients_match_lapack_vectors(n):
         for p in secular_spectrum(n, a, EL):
             try:
                 coeffs = eigenfunction(n, a, p).polynomial.coeffs
-            except (qes.IllConditionedError, qes.NonNormalizableError):
+            except qes.IllConditionedError:
                 continue  # refused at n = 64 (ROADMAP item 6)
             v = scale * w[:, int(np.argmin(np.abs(mu + p.kappa)))]
             assert list(coeffs) == list(v / v[0]), (n, a, p.kappa)
@@ -385,18 +385,17 @@ def test_point_serialization():
 def test_wavefunction_profile_matches_formula():
     pair = eigenfunction(2, 1, physical(2, 1)[0])
     grid = np.linspace(0.0, 6.0, 13)
-    sample = assemble_wavefunction(pair, grid)
+    zeta = assemble_wavefunction(pair, grid)
     want = (np.exp(-grid ** 2 / 4.0) * grid
             * np.asarray([pair.polynomial(x) for x in grid]))
-    assert np.allclose(sample.zeta, want, rtol=1e-14, atol=1e-300)
-    assert sample.s_abs == 1 and sample.gauss_coefficient == 0.25
-    assert sample.point is pair.point
+    assert zeta.shape == grid.shape
+    assert np.allclose(zeta, want, rtol=1e-14, atol=1e-300)
 
 
 def test_wavefunction_at_origin_s0():
     pair = eigenfunction(1, 0, physical(1, 0)[0])
-    sample = assemble_wavefunction(pair, np.array([0.0, 1.0]))
-    assert sample.zeta[0] == 1.0  # p(0) = 1 and the gauge factor is 1
+    zeta = assemble_wavefunction(pair, np.array([0.0, 1.0]))
+    assert zeta[0] == 1.0  # p(0) = 1 and the gauge factor is 1
 
 
 def test_wavefunction_grid_validation():
@@ -422,9 +421,9 @@ def test_wavefunction_is_zero_where_the_gaussian_underflows():
     pair = eigenfunction(6, 3, physical(6, 3)[-1])
     grid = np.array([0.0, 1.0, 60.0, 1e200, 1e300])
     with np.errstate(invalid="raise"):
-        zeta = assemble_wavefunction(pair, grid).zeta
+        zeta = assemble_wavefunction(pair, grid)
     assert zeta[1] != 0.0 and list(zeta[2:]) == [0.0, 0.0, 0.0]
-    near = assemble_wavefunction(pair, grid[:2]).zeta
+    near = assemble_wavefunction(pair, grid[:2])
     assert list(near) == list(zeta[:2])
 
 
