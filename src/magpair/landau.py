@@ -96,7 +96,8 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
 
     chi(R) = R^|S| exp(-M omega_c R^2 / 4) L_N^(|S|)(2 R^2 / (M omega_c));
     see LAGUERRE_ARGUMENT_NOTE for the argument convention.  Requires a
-    charged pair (omega_c != 0).
+    charged pair (omega_c != 0).  Where the Gaussian underflows to 0 the
+    orbital is 0, whatever the power and Laguerre factors.
     """
     if dp.omega_c == 0.0:
         raise ValueError("CM Landau orbitals need a charged pair (q != 0)")
@@ -107,5 +108,13 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
         raise ValueError("R_grid must be strictly ascending and nonnegative")
     s_abs = abs(state.S)
     m_om = dp.M * dp.omega_c
-    return (np.power(r, s_abs) * np.exp(-0.25 * m_om * r * r)
-            * laguerre(state.N, float(s_abs), 2.0 * r * r / m_om))
+    with np.errstate(over="ignore"):
+        # far out R^2 overflows, and the Gaussian is 0 there
+        exponent = -0.25 * m_om * r * r
+    gauss = np.exp(exponent)
+    live = gauss > 0.0
+    chi = np.zeros_like(r)
+    x = r[live]
+    chi[live] = (np.power(x, s_abs) * gauss[live]
+                 * laguerre(state.N, float(s_abs), 2.0 * x * x / m_om))
+    return chi

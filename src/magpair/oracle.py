@@ -30,10 +30,17 @@ eigenvalue.  Once an eigenvalue is isolated, inverse iteration converges
 cubically where bisection gains one bit per sweep (Parlett, The Symmetric
 Eigenvalue Problem, ch. 4).  A block that cannot be isolated or refined is
 refused with RuntimeError.
+
+convergence_order solves the same three grids for every call at a given
+(n, |s|, grid), so their eigenvalue-only blocks are kept per process in
+an lru_cache of 1024 entries keyed by (n, |s|, grid); +s and -s share an
+entry because the pencil depends on s only through |s|.  fd_kappa_spectrum,
+which also returns eigenvectors, solves afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -251,6 +258,21 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int,
     return values, vecs
 
 
+@functools.lru_cache(maxsize=1024)
+def _fd_couplings(n: int, a: int, grid: RadialGrid) -> np.ndarray:
+    """Ascending top n + 1 eigenvalues of the pencil at (n, a = |s|) on
+    grid, as a read-only array, solved once per key and process.
+
+    The same computation as fd_kappa_spectrum's eigenvalues, so the two
+    agree bit for bit.  Validation errors from _pencil are raised on every
+    call; lru_cache keeps no exception.
+    """
+    _, _, _, _, diag, off = _pencil(n, a, grid)
+    w, _ = _top_block(diag, off, n + 1, vectors=False)
+    w.flags.writeable = False
+    return w
+
+
 def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleResult:
     """Coupling eigenvalues and eigenvectors of the discretized pencil.
 
@@ -304,8 +326,12 @@ def oracle_match(points, result: OracleResult, tol: float) -> MatchReport:
     MismatchError.  Node counts of both sides ride along in the report:
     the algebraic one is the point's rank, the oracle one counts sign
     changes of the discrete eigenvector.
-    With no physical branch (n = 0) the match is vacuous.
+    With no physical branch (n = 0) the match is vacuous.  tol must be
+    nonnegative and not NaN (against NaN every partner would match);
+    tol = inf accepts any partner.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative and not NaN, got {tol!r}")
     rows = []
     used: set[int] = set()
     for pt in sorted((p for p in points if p.physical), key=lambda p: p.j):
@@ -347,16 +373,16 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
     branch; branches whose increments are already at rounding level are
     reported as inf.  The three grids are solved for eigenvalues only, by
     the same iteration as fd_kappa_spectrum, so kappas_finest equals its
-    kappas on the finest grid bit for bit.
+    kappas on the finest grid bit for bit; kappas_finest is read-only.
+    Each grid's block is solved once per process and then read from a
+    cache of 1024 entries keyed by (n, |s|, grid), so +s and -s, and a
+    grid and its refined(2), share solves.
     """
     n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s, num_points=801)
-    kappas = []
-    for g in (grid, grid.refined(2), grid.refined(4)):
-        _, _, _, _, diag, off = _pencil(n, s, g)
-        kappas.append(_top_block(diag, off, n + 1, vectors=False)[0])
-    k0, k1, k2 = kappas
+    k0, k1, k2 = (_fd_couplings(n, abs(s), g)
+                  for g in (grid, grid.refined(2), grid.refined(4)))
     scale = max(1.0, float(np.max(np.abs(k2))))
     orders = []
     for d1, d2 in zip(np.abs(k0 - k1), np.abs(k1 - k2)):

@@ -5,6 +5,7 @@ To accept an intended change, regenerate the file from the demo and say
 why in the change log.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,8 +19,10 @@ GOLDEN = ROOT / "tests" / "golden" / "demos"
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo):
-    # the demos find magpair the way the tests do: installed or on PYTHONPATH
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
+    # the demos import magpair from this checkout's src, as the tests do
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()

@@ -100,6 +100,22 @@ def test_ground_orbital_is_pure_gaussian():
     assert "2 R^2 / (M omega_c)" in LAGUERRE_ARGUMENT_NOTE
 
 
+@pytest.mark.parametrize("N", [0, 3])
+def test_orbital_is_zero_where_the_gaussian_underflows(N):
+    # far out R^|S| overflows to inf where exp(...) underflows to 0
+    dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))  # M = 2, omega_c = 1
+    grid = np.array([0.0, 1.0, 60.0, 1e200, 1e300])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        chi = cm_wavefunction(CMState(N, 2), dp, grid)
+    assert np.all(np.isfinite(chi))
+    assert chi[1] != 0.0 and chi[2:].tolist() == [0.0, 0.0, 0.0]
+    # live points keep the product order power x Gaussian x Laguerre
+    r = grid[:2]
+    want = (np.power(r, 2) * np.exp(-0.25 * dp.M * dp.omega_c * r * r)
+            * laguerre(N, 2.0, 2.0 * r * r / (dp.M * dp.omega_c)))
+    assert chi[:2].tobytes() == want.tobytes()
+
+
 def test_orbital_node_count_and_origin():
     N, S = 3, 1
     dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))  # M = 2, omega_c = 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magpair import oracle
+from magpair import cli, oracle
 from magpair.oracle import (
     MismatchError,
     RadialGrid,
@@ -104,6 +104,21 @@ def test_mismatch_raised_at_unreachable_tolerance():
     res = fd_kappa_spectrum(2, 0, default_grid(2, 0, num_points=801))
     with pytest.raises(MismatchError):
         oracle_match(secular_spectrum(2, 0, EL), res, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3, -math.inf])
+def test_match_refuses_a_tolerance_that_cannot_decide(tol):
+    # err > nan is never true, so tol = nan would pass any partner
+    res = fd_kappa_spectrum(2, 0, default_grid(2, 0, num_points=801))
+    with pytest.raises(ValueError, match="tol"):
+        oracle_match(secular_spectrum(2, 0, EL), res, tol=tol)
+
+
+def test_match_accepts_an_infinite_tolerance():
+    # verify measures the largest error, so it matches with tol = inf
+    res = fd_kappa_spectrum(2, 0, default_grid(2, 0, num_points=801))
+    report = oracle_match(secular_spectrum(2, 0, EL), res, tol=math.inf)
+    assert 0.0 < report.max_abs_err < 1e-2
 
 
 def test_branch_count_bounds():
@@ -226,3 +241,56 @@ def test_top_block_is_reproducible_bit_for_bit():
     assert w3.tobytes() == w1.tobytes() and none is None
     assert fd_kappa_spectrum(5, 2, default_grid(5, 2, 2001)).kappas.tobytes() \
         == w1.tobytes()
+
+
+def test_cached_couplings_equal_a_fresh_solve_byte_for_byte():
+    for n, s, p in ((0, 0, 801), (3, 2, 1601), (6, 4, 3201)):
+        grid = default_grid(n, s, p)
+        _, _, _, _, diag, off = oracle._pencil(n, s, grid)
+        fresh, _ = oracle._top_block(diag, off, n + 1, vectors=False)
+        cached = oracle._fd_couplings(n, abs(s), grid)
+        assert cached.tobytes() == fresh.tobytes(), (n, s, p)
+        assert cached is oracle._fd_couplings(n, abs(s), grid)
+
+
+def test_convergence_order_shares_entries_between_signs_and_grids():
+    oracle._fd_couplings.cache_clear()
+    plus = convergence_order(3, 2)
+    assert oracle._fd_couplings.cache_info().misses == 3
+    minus = convergence_order(3, -2)
+    info = oracle._fd_couplings.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    assert plus.orders == minus.orders
+    assert plus.kappas_finest is minus.kappas_finest
+    # the refined(2) of a base grid is solved already at h/2 and h/4
+    convergence_order(3, 2, default_grid(3, 2, 801).refined(2))
+    info = oracle._fd_couplings.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 5, 4)
+
+
+def test_cached_finest_kappas_are_read_only():
+    report = convergence_order(2, 1)
+    with pytest.raises(ValueError):
+        report.kappas_finest[0] = 0.0
+
+
+def test_refused_grid_raises_on_every_call():
+    bad = RadialGrid(5e-4, 5.0, 101)
+    oracle._fd_couplings.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="admissible"):
+            convergence_order(4, 2, bad)
+    assert oracle._fd_couplings.cache_info().currsize == 0
+
+
+def test_oracle_checks_read_the_same_cold_and_warm():
+    def rows():
+        return [(c.name, repr(c.measured), c.passed)
+                for c in cli.run_verification(only="oracle")]
+
+    oracle._fd_couplings.cache_clear()
+    cold = rows()
+    assert oracle._fd_couplings.cache_info().misses == 3
+    warm = rows()
+    assert oracle._fd_couplings.cache_info().misses == 3
+    assert warm == cold and all(passed for _, _, passed in cold)
