@@ -6,6 +6,11 @@ number S.  The squared pseudomomentum is tied to the energy by the
 operator identity K^2 = 2 q B L_z + 2 M H_R, which on a level (N, S)
 closes exactly in integer arithmetic; casimir_identity_check evaluates
 the residual with no algebraic pre-cancellation.
+
+H_R = p^2/2M - (q B/2M) L_z + q^2 B^2 R^2/8M depends on the sign of q B
+only through the L_z term, so with sigma = sign(q B) the levels carry
+|omega_c| and sigma S: a pair of negative charges has the levels of its
+charge conjugate with S mirrored.
 """
 
 from __future__ import annotations
@@ -64,20 +69,28 @@ def laguerre(N: int, alpha: float, x):
     return float(cur) if cur.ndim == 0 else cur
 
 
-def cm_energy(state: CMState, dp: DerivedParams) -> float:
-    """Landau level energy E_R = (omega_c / 2)(2N + 1 + |S| - S).
+def _sign(qb: float) -> int:
+    return -1 if qb < 0.0 else 1
 
-    Degenerate in S for all S >= 0 at fixed N.
+
+def cm_energy(state: CMState, dp: DerivedParams) -> float:
+    """Landau level energy E_R = (|omega_c| / 2)(2N + 1 + |S| - sigma S),
+    sigma = sign(q B).
+
+    Degenerate in S for all sigma S >= 0 at fixed N.
     """
-    return 0.5 * dp.omega_c * (2 * state.N + 1 + abs(state.S) - state.S)
+    return 0.5 * abs(dp.omega_c) * (2 * state.N + 1 + abs(state.S)
+                                    - _sign(dp.omega_c) * state.S)
 
 
 def pseudomomentum_sq(state: CMState, q: float, B: float) -> float:
-    """Squared pseudomomentum K^2 = q B (2N + 1 + |S| + S).
+    """Squared pseudomomentum K^2 = |q B| (2N + 1 + |S| + sigma S),
+    sigma = sign(q B).
 
-    Degenerate in S for all S <= 0 at fixed N.
+    Degenerate in S for all sigma S <= 0 at fixed N.
     """
-    return q * B * (2 * state.N + 1 + abs(state.S) + state.S)
+    qb = q * B
+    return abs(qb) * (2 * state.N + 1 + abs(state.S) + _sign(qb) * state.S)
 
 
 def casimir_identity_check(state: CMState, dp: DerivedParams) -> float:
@@ -94,10 +107,12 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
     """Samples of the radial CM orbital on a strictly ascending,
     nonnegative grid (NaN is neither).
 
-    chi(R) = R^|S| exp(-M omega_c R^2 / 4) L_N^(|S|)(2 R^2 / (M omega_c));
-    see LAGUERRE_ARGUMENT_NOTE for the argument convention.  Requires a
-    charged pair (omega_c != 0).  Where the Gaussian underflows to 0 the
-    orbital is 0, whatever the power and Laguerre factors.
+    chi(R) = R^|S| exp(-M |omega_c| R^2 / 4) L_N^(|S|)(2 R^2 / (M |omega_c|));
+    see LAGUERRE_ARGUMENT_NOTE for the argument convention.  The orbital
+    depends on omega_c only through |omega_c|, so a pair and its charge
+    conjugate share it.  Requires a charged pair (omega_c != 0).  Where the
+    Gaussian underflows to 0 the orbital is 0, whatever the power and
+    Laguerre factors.
     """
     if dp.omega_c == 0.0:
         raise ValueError("CM Landau orbitals need a charged pair (q != 0)")
@@ -107,7 +122,7 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
     if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
         raise ValueError("R_grid must be strictly ascending and nonnegative")
     s_abs = abs(state.S)
-    m_om = dp.M * dp.omega_c
+    m_om = dp.M * abs(dp.omega_c)
     with np.errstate(over="ignore"):
         # far out R^2 overflows, and the Gaussian is 0 there
         exponent = -0.25 * m_om * r * r

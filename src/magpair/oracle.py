@@ -25,17 +25,20 @@ non-polynomial continuations at the same energy.
 Only that block is solved for.  Bisection isolates each of its eigenvalues
 to an absolute width of 0.1, 20 times below the smallest gap of the exact
 block, and inverse iteration with Rayleigh-quotient shifts refines each
-one, with its eigenvector, to within 0.1 eps ||T|| of the fully converged
-eigenvalue.  Once an eigenvalue is isolated, inverse iteration converges
-cubically where bisection gains one bit per sweep (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  A block that cannot be isolated or refined is
-refused with RuntimeError.
+one to within 0.1 eps ||T|| of the fully converged eigenvalue.  Once an
+eigenvalue is isolated, inverse iteration converges cubically where
+bisection gains one bit per sweep (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4).  A block that cannot be isolated or refined is refused
+with RuntimeError.
 
-convergence_order solves the same three grids for every call at a given
-(n, |s|, grid), so their eigenvalue-only blocks are kept per process in
-an lru_cache of 1024 entries keyed by (n, |s|, grid); +s and -s share an
-entry because the pencil depends on s only through |s|.  fd_kappa_spectrum,
-which also returns eigenvectors, solves afresh on every call.
+The eigenvalue-only block of each (n, |s|, grid) is solved once per
+process and kept in an lru_cache of 1024 read-only entries; +s and -s
+share an entry because the pencil depends on s only through |s|.
+convergence_order reads its three grids from it, and fd_kappa_spectrum
+reads its kappas from it and computes only the eigenvectors on each
+call: two inverse-iteration steps at each cached eigenvalue, which is
+already correct to eps ||T|| (Wilkinson, The Algebraic Eigenvalue
+Problem, ch. 9).  Vectors are not cached.
 """
 
 from __future__ import annotations
@@ -188,24 +191,50 @@ _ISOLATION = 0.1
 _MAX_STEPS = 10
 
 
-def _top_block(diag: np.ndarray, off: np.ndarray, k: int,
-               vectors: bool = True):
+def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
+    """eps ||T||, with ||T|| the largest absolute row sum of T."""
+    a_off = np.abs(off)
+    rows = np.abs(diag)
+    rows[:-1] += a_off
+    rows[1:] += a_off
+    return np.finfo(float).eps * float(np.max(rows))
+
+
+@functools.lru_cache(maxsize=16)
+def _start(m: int) -> np.ndarray:
+    """The fixed pseudo-random unit vector every inverse iteration starts
+    from, so each solve is reproducible bit for bit.  Seeding RandomState
+    costs about as much as a 3001-point vector pass, so the read-only
+    vector is built once per length and process."""
+    start = np.random.RandomState(0).uniform(-1.0, 1.0, m)
+    start /= np.linalg.norm(start)
+    start.flags.writeable = False
+    return start
+
+
+def _quotient(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
+              tx: np.ndarray) -> float:
+    """Rayleigh quotient x^T T x of a unit vector x, with tx as scratch."""
+    np.multiply(diag, x, out=tx)
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    return float(x @ tx)
+
+
+def _top_block(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
     """The k largest eigenvalues of a symmetric tridiagonal matrix T.
 
     Bisection (LAPACK stebz, by index) isolates each eigenvalue w_j to an
     absolute width of _ISOLATION; inverse iteration (LAPACK gtsv) refines
     it, two steps at w_j and then Rayleigh-quotient shifts until the
-    quotient moves by at most eps ||T||, ||T|| the largest absolute row
-    sum.  The final quotient is the eigenvalue and the final iterate its
-    unit eigenvector.  Every eigenvalue starts from the same fixed
-    pseudo-random vector, so the output is reproducible bit for bit.
+    quotient moves by at most _tolerance(diag, off) = eps ||T||.  The final
+    quotient is the eigenvalue.  Every eigenvalue starts from _start, so
+    the output is reproducible bit for bit.
 
-    Returns the eigenvalues in ascending order and, if vectors, the matrix
-    whose column j belongs to eigenvalue j (else None).  Raises
-    RuntimeError when bisection fails, two isolating intervals
-    w_j +- _ISOLATION overlap, a shifted factor is singular, the iteration
-    has not converged after _MAX_STEPS steps, or a refined value leaves its
-    interval.
+    Returns the eigenvalues in ascending order.  Raises RuntimeError when
+    bisection fails, two isolating intervals w_j +- _ISOLATION overlap, a
+    shifted factor is singular, the iteration has not converged after
+    _MAX_STEPS steps, or a refined value leaves its interval.
     """
     # scipy loads on the first solve, so importing magpair stays cheap
     from scipy.linalg.lapack import dgtsv, dstebz
@@ -220,16 +249,10 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int,
     if np.any(np.diff(w) <= 2.0 * _ISOLATION):
         raise RuntimeError("top eigenvalues are not isolated at width "
                            f"{_ISOLATION}")
-    a_off = np.abs(off)
-    rows = np.abs(diag)
-    rows[:-1] += a_off
-    rows[1:] += a_off
-    tol = np.finfo(float).eps * float(np.max(rows))
-    start = np.random.RandomState(0).uniform(-1.0, 1.0, m)
-    start /= np.linalg.norm(start)
+    tol = _tolerance(diag, off)
+    start = _start(m)
     tx = np.empty(m)
     values = np.empty(k)
-    vecs = np.empty((m, k)) if vectors else None
     for j, shift in enumerate(w):
         x = start
         rq = shift
@@ -238,10 +261,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int,
             if info != 0:
                 raise RuntimeError(f"singular factor at shift {shift!r}")
             x = y[:, 0] / np.linalg.norm(y)
-            np.multiply(diag, x, out=tx)
-            tx[:-1] += off * x[1:]
-            tx[1:] += off * x[:-1]
-            prev, rq = rq, float(x @ tx)
+            prev, rq = rq, _quotient(diag, off, x, tx)
             if step >= 1:
                 if abs(rq - prev) <= tol:
                     break
@@ -253,9 +273,44 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int,
             raise RuntimeError(f"refined eigenvalue {rq!r} left its interval "
                                f"around {w[j]!r}")
         values[j] = rq
-        if vectors:
-            vecs[:, j] = x
-    return values, vecs
+    return values
+
+
+def _vectors_at(diag: np.ndarray, off: np.ndarray,
+                kappas: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of T at eigenvalues already known.
+
+    Each column comes from two inverse-iteration steps (LAPACK gtsv) at the
+    fixed shift kappas[j], starting from _start; with the shift correct to
+    eps ||T|| the second step leaves a residual at rounding level.  Column
+    j belongs to kappas[j].  Raises RuntimeError on a singular factor, or
+    when a column's Rayleigh quotient lies further than eps ||T|| from its
+    eigenvalue, as it does at a shift that is no eigenvalue.  The quotient
+    is taken right after each column's solve, while the vector is still in
+    cache: taken over the whole (m, k) block at once it was 2 to 3 times
+    slower at 12001 points on a 2-core host, and needed two more m x k
+    temporaries.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    m = len(diag)
+    start = _start(m)
+    rows = np.empty((len(kappas), m))
+    tx = np.empty(m)
+    rq = np.empty(len(kappas))
+    for j, shift in enumerate(kappas):
+        x = start
+        for _ in range(2):
+            _, _, _, y, info = dgtsv(off, diag - shift, off, x[:, None])
+            if info != 0:
+                raise RuntimeError(f"singular factor at shift {shift!r}")
+            x = y[:, 0] / np.linalg.norm(y)
+        rq[j] = _quotient(diag, off, x, tx)
+        rows[j] = x
+    if np.any(np.abs(rq - kappas) > _tolerance(diag, off)):
+        raise RuntimeError("inverse iteration at the given shifts did not "
+                           "reach their eigenvectors")
+    return rows.T
 
 
 @functools.lru_cache(maxsize=1024)
@@ -263,12 +318,12 @@ def _fd_couplings(n: int, a: int, grid: RadialGrid) -> np.ndarray:
     """Ascending top n + 1 eigenvalues of the pencil at (n, a = |s|) on
     grid, as a read-only array, solved once per key and process.
 
-    The same computation as fd_kappa_spectrum's eigenvalues, so the two
-    agree bit for bit.  Validation errors from _pencil are raised on every
-    call; lru_cache keeps no exception.
+    fd_kappa_spectrum and convergence_order both read their eigenvalues
+    here.  Validation errors from _pencil are raised on every call;
+    lru_cache keeps no exception.
     """
     _, _, _, _, diag, off = _pencil(n, a, grid)
-    w, _ = _top_block(diag, off, n + 1, vectors=False)
+    w = _top_block(diag, off, n + 1)
     w.flags.writeable = False
     return w
 
@@ -278,17 +333,22 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
 
     Returns the n + 1 largest kappa values, the polynomial block, in
     ascending order, with node counts of the back-transformed vectors.
-    The block comes from _top_block: coarse bisection, then inverse
-    iteration to full accuracy.  The grid must carry at least n + 1
-    interior nodes.
+    kappas is the read-only block of the per-process cache that
+    convergence_order also reads, solved by _top_block (coarse bisection,
+    then inverse iteration to full accuracy) on the first call at
+    (n, |s|, grid).  The eigenvectors are computed on every call, by
+    _vectors_at at those kappas, so a cold and a warm call return the
+    same bytes.  The grid is validated on every call and must carry at
+    least n + 1 interior nodes.
     """
     n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s)
     e_n, ri, sub, sup, diag, off = _pencil(n, s, grid)
+    w = _fd_couplings(n, abs(s), grid)
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
-    w, v = _top_block(diag, off, n + 1)
-    vectors = scale[:, None] * v
+    vectors = _vectors_at(diag, off, w)
+    vectors *= scale[:, None]
     nodes = tuple(_count_sign_changes(vectors[:, k]) for k in range(vectors.shape[1]))
     return OracleResult(n=n, s=s, e_n=e_n, grid=grid, r=ri,
                         kappas=w, vectors=vectors, node_counts=nodes)
@@ -371,12 +431,12 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
 
     order = log2(|kappa_h - kappa_{h/2}| / |kappa_{h/2} - kappa_{h/4}|) per
     branch; branches whose increments are already at rounding level are
-    reported as inf.  The three grids are solved for eigenvalues only, by
-    the same iteration as fd_kappa_spectrum, so kappas_finest equals its
-    kappas on the finest grid bit for bit; kappas_finest is read-only.
-    Each grid's block is solved once per process and then read from a
-    cache of 1024 entries keyed by (n, |s|, grid), so +s and -s, and a
-    grid and its refined(2), share solves.
+    reported as inf.  The three grids are solved for eigenvalues only and
+    read from the cache that fd_kappa_spectrum also reads, so
+    kappas_finest is its kappas on the finest grid, the same read-only
+    array.  Each grid's block is solved once per process and then read
+    from a cache of 1024 entries keyed by (n, |s|, grid), so +s and -s,
+    and a grid and its refined(2), share solves.
     """
     n, s = _integers(n, s)
     if grid is None:

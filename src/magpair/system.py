@@ -124,8 +124,9 @@ def derive(pair: ChargePair) -> DerivedParams:
 
     The equal-Larmor formulas assume charges of one sign (the usual
     convention takes both positive); a pair of negative charges yields the
-    mirrored negative omega_c and B0 and is left to the caller to
-    interpret.
+    mirrored negative omega_c and B0.  The Landau sector (magpair.landau)
+    reads omega_c through |omega_c| and sign(q B), so its levels and
+    orbitals are physical for either sign.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
     if _is_neutral(e1, e2) and e1 < 0:

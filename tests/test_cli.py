@@ -330,6 +330,19 @@ def test_landau_negative_range_token(capsys):
     assert [r[1] for r in rows] == ["-2", "-1", "0", "1", "2"]
 
 
+def test_landau_table_of_a_negative_pair_mirrors_S(capsys):
+    # the charge conjugate of the default pair: same levels, S mirrored
+    code, out, _ = run(capsys, "landau", "--e1", "-1", "--e2", "-1",
+                       "--m1", "1", "--m2", "1", "--B", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    _, pos = parse_csv(run(capsys, "landau")[1])
+    mirrored = {(r[0], str(-int(r[1]))): r[2:] for r in pos}
+    assert rows[3] == ["0", "0", "0.5", "2", "0"]
+    assert all(r[2:] == mirrored[(r[0], r[1])] for r in rows)
+    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
+
+
 def test_landau_rejects_uncharged_pair(capsys):
     code, _, err = run(capsys, "landau", "--e1", "1", "--e2", "-1",
                        "--m1", "1", "--m2", "1", "--B", "1")

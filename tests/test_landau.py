@@ -20,6 +20,7 @@ from magpair.system import ChargePair, derive
 from sturm import count_positive_roots
 
 DYADIC = derive(ChargePair(2.0, 2.0, 2.0, 2.0, 2.0))  # q=4, M=4, omega_c=2
+NEGATIVE = derive(ChargePair(-2.0, -2.0, 2.0, 2.0, 2.0))  # its charge conjugate
 
 
 def test_laguerre_matches_scipy():
@@ -67,9 +68,10 @@ def test_pseudomomentum():
 
 
 def test_casimir_identity_exact_on_dyadic_params():
-    for N in range(11):
-        for S in range(-10, 11):
-            assert casimir_identity_check(CMState(N, S), DYADIC) == 0.0
+    for dp in (DYADIC, NEGATIVE):
+        for N in range(11):
+            for S in range(-10, 11):
+                assert casimir_identity_check(CMState(N, S), dp) == 0.0
 
 
 def test_casimir_identity_generic_params():
@@ -144,3 +146,38 @@ def test_orbital_grid_validation():
                 np.array([0.0, math.nan, 2.0]), np.array([math.nan])):
         with pytest.raises(ValueError):
             cm_wavefunction(CMState(0, 0), DYADIC, bad)
+
+
+def test_negative_pair_has_positive_energy_and_pseudomomentum():
+    for N in range(4):
+        for S in range(-5, 6):
+            state = CMState(N, S)
+            assert cm_energy(state, NEGATIVE) > 0.0
+            assert pseudomomentum_sq(state, NEGATIVE.q, NEGATIVE.B) > 0.0
+            # levels of the charge conjugate with S mirrored
+            mirror = CMState(N, -S)
+            assert cm_energy(state, NEGATIVE) == cm_energy(mirror, DYADIC)
+            assert pseudomomentum_sq(state, NEGATIVE.q, NEGATIVE.B) == \
+                pseudomomentum_sq(mirror, DYADIC.q, DYADIC.B)
+
+
+def test_negative_pair_energy_is_degenerate_in_nonpositive_S():
+    for N in range(4):
+        base = cm_energy(CMState(N, 0), NEGATIVE)
+        for S in range(-7, 1):
+            assert cm_energy(CMState(N, S), NEGATIVE) == base
+        for S in range(1, 6):
+            assert cm_energy(CMState(N, S), NEGATIVE) == \
+                base + abs(NEGATIVE.omega_c) * S
+
+
+@pytest.mark.parametrize("N", [0, 3])
+def test_negative_pair_orbital_is_its_charge_conjugates(N):
+    grid = np.array([0.0, 1.0, 10.0, 60.0])
+    neg = derive(ChargePair(-1.0, -1.0, 1.0, 1.0, 1.0))
+    pos = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        chi = cm_wavefunction(CMState(N, 2), neg, grid)
+    want = cm_wavefunction(CMState(N, 2), pos, grid)
+    assert chi.tobytes() == want.tobytes()
+    assert chi[1] != 0.0 and chi[-1] == 0.0

@@ -204,7 +204,8 @@ def test_top_block_reaches_the_fully_converged_eigenvalues():
         grid = default_grid(n, s, p)
         _, ri, sub, sup, diag, off = oracle._pencil(n, s, grid)
         m, ulp = len(ri), np.finfo(float).eps * _row_sum_norm(diag, off)
-        w, v = oracle._top_block(diag, off, n + 1)
+        w = oracle._top_block(diag, off, n + 1)
+        v = oracle._vectors_at(diag, off, w)
         ref, ref_v = eigh_tridiagonal(diag, off, select="i", tol=1e-300,
                                       select_range=(m - n - 1, m - 1))
         assert np.max(np.abs(w - ref)) <= 0.1 * ulp, (n, s, p)
@@ -227,18 +228,16 @@ def test_top_block_refuses_a_pair_it_cannot_isolate():
     off = np.ones(20)
     with pytest.raises(RuntimeError, match="isolated"):
         oracle._top_block(diag, off, 2)
-    w, v = oracle._top_block(diag, off, 1)
+    w = oracle._top_block(diag, off, 1)
     assert w[0] == pytest.approx(10.746194182903393, abs=1e-13)
-    assert v.shape == (21, 1)
+    assert w.shape == (1,)
 
 
 def test_top_block_is_reproducible_bit_for_bit():
     _, _, _, _, diag, off = oracle._pencil(5, 2, default_grid(5, 2, 2001))
-    w1, v1 = oracle._top_block(diag, off, 6)
-    w2, v2 = oracle._top_block(diag, off, 6)
-    assert w1.tobytes() == w2.tobytes() and v1.tobytes() == v2.tobytes()
-    w3, none = oracle._top_block(diag, off, 6, vectors=False)
-    assert w3.tobytes() == w1.tobytes() and none is None
+    w1 = oracle._top_block(diag, off, 6)
+    w2 = oracle._top_block(diag, off, 6)
+    assert w1.tobytes() == w2.tobytes()
     assert fd_kappa_spectrum(5, 2, default_grid(5, 2, 2001)).kappas.tobytes() \
         == w1.tobytes()
 
@@ -247,7 +246,7 @@ def test_cached_couplings_equal_a_fresh_solve_byte_for_byte():
     for n, s, p in ((0, 0, 801), (3, 2, 1601), (6, 4, 3201)):
         grid = default_grid(n, s, p)
         _, _, _, _, diag, off = oracle._pencil(n, s, grid)
-        fresh, _ = oracle._top_block(diag, off, n + 1, vectors=False)
+        fresh = oracle._top_block(diag, off, n + 1)
         cached = oracle._fd_couplings(n, abs(s), grid)
         assert cached.tobytes() == fresh.tobytes(), (n, s, p)
         assert cached is oracle._fd_couplings(n, abs(s), grid)
@@ -277,10 +276,15 @@ def test_cached_finest_kappas_are_read_only():
 def test_refused_grid_raises_on_every_call():
     bad = RadialGrid(5e-4, 5.0, 101)
     oracle._fd_couplings.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="admissible"):
-            convergence_order(4, 2, bad)
+    for solve in (convergence_order, fd_kappa_spectrum):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="admissible"):
+                solve(4, 2, bad)
     assert oracle._fd_couplings.cache_info().currsize == 0
+    # still refused once the same (n, |s|) is cached on an admissible grid
+    fd_kappa_spectrum(4, 2, default_grid(4, 2, 801))
+    with pytest.raises(ValueError, match="admissible"):
+        fd_kappa_spectrum(4, 2, bad)
 
 
 def test_oracle_checks_read_the_same_cold_and_warm():
@@ -290,7 +294,52 @@ def test_oracle_checks_read_the_same_cold_and_warm():
 
     oracle._fd_couplings.cache_clear()
     cold = rows()
-    assert oracle._fd_couplings.cache_info().misses == 3
+    # 15 fd_kappa_spectrum grids and the 3 of convergence_order
+    assert oracle._fd_couplings.cache_info().misses == 18
     warm = rows()
-    assert oracle._fd_couplings.cache_info().misses == 3
+    assert oracle._fd_couplings.cache_info().misses == 18
     assert warm == cold and all(passed for _, _, passed in cold)
+
+
+def test_warm_spectrum_reads_the_cached_kappas_without_bisection(monkeypatch):
+    from scipy.linalg import lapack
+
+    grid = default_grid(4, 3, 2001)
+    oracle._fd_couplings.cache_clear()
+    cached = oracle._fd_couplings(4, 3, grid)
+    calls = []
+    real = lapack.dstebz
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dstebz", spy)
+    res = fd_kappa_spectrum(4, -3, grid)
+    assert calls == []
+    assert res.kappas is cached and not res.kappas.flags.writeable
+    # the spy does see a cold solve
+    fd_kappa_spectrum(4, 3, default_grid(4, 3, 2003))
+    assert len(calls) == 1
+
+
+def test_cold_and_warm_spectra_are_identical_bytes():
+    grid = default_grid(5, 2, 3001)
+    oracle._fd_couplings.cache_clear()
+    cold = fd_kappa_spectrum(5, 2, grid)
+    assert oracle._fd_couplings.cache_info().misses == 1
+    warm = fd_kappa_spectrum(5, 2, grid)
+    assert oracle._fd_couplings.cache_info().hits == 1
+    assert cold.kappas.tobytes() == warm.kappas.tobytes()
+    assert cold.vectors.tobytes() == warm.vectors.tobytes()
+    assert cold.node_counts == warm.node_counts
+
+
+def test_vectors_at_refuses_a_shift_between_two_eigenvalues():
+    _, _, _, _, diag, off = oracle._pencil(3, 1, default_grid(3, 1, 801))
+    w = oracle._top_block(diag, off, 4)
+    oracle._vectors_at(diag, off, w)  # the eigenvalues themselves pass
+    mid = w.copy()
+    mid[1] = 0.5 * (w[1] + w[2])
+    with pytest.raises(RuntimeError, match="eigenvectors"):
+        oracle._vectors_at(diag, off, mid)
