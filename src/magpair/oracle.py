@@ -35,10 +35,12 @@ The eigenvalue-only block of each (n, |s|, grid) is solved once per
 process and kept in an lru_cache of 1024 read-only entries; +s and -s
 share an entry because the pencil depends on s only through |s|.
 convergence_order reads its three grids from it, and fd_kappa_spectrum
-reads its kappas from it and computes only the eigenvectors on each
-call: two inverse-iteration steps at each cached eigenvalue, which is
-already correct to eps ||T|| (Wilkinson, The Algebraic Eigenvalue
-Problem, ch. 9).  Vectors are not cached.
+reads its kappas from it.  Eigenvectors come from two inverse-iteration
+steps at each cached eigenvalue, which is already correct to eps ||T||
+(Wilkinson, The Algebraic Eigenvalue Problem, ch. 9).  fd_kappa_spectrum
+needs only their sign changes, kept in a second cache of the same size
+and key: node counts cached per block; vectors on request.
+convergence_order never solves for vectors.
 """
 
 from __future__ import annotations
@@ -124,7 +126,12 @@ def default_grid(n: int, s: int, num_points: int = DEFAULT_NUM_POINTS) -> Radial
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Finite-difference coupling block at fixed (n, s)."""
+    """Finite-difference coupling block at fixed (n, s).
+
+    vectors is not a field: the back-transformed eigenvectors are solved
+    on its first read, from the pencil of (n, s, grid) at kappas, and kept
+    on the instance.  repr does not print them.
+    """
 
     n: int
     s: int
@@ -132,8 +139,14 @@ class OracleResult:
     grid: RadialGrid
     r: np.ndarray           # interior nodes carrying the unknowns
     kappas: np.ndarray      # ascending
-    vectors: np.ndarray     # column k belongs to kappas[k]
     node_counts: tuple[int, ...]
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors of A, column k belonging to kappas[k]; the columns
+        node_counts counts, bit for bit."""
+        _, _, sub, sup, diag, off = _pencil(self.n, self.s, self.grid)
+        return _block_vectors(sub, sup, diag, off, self.kappas)
 
 
 def _integers(n, s) -> tuple[int, int]:
@@ -318,8 +331,8 @@ def _fd_couplings(n: int, a: int, grid: RadialGrid) -> np.ndarray:
     """Ascending top n + 1 eigenvalues of the pencil at (n, a = |s|) on
     grid, as a read-only array, solved once per key and process.
 
-    fd_kappa_spectrum and convergence_order both read their eigenvalues
-    here.  Validation errors from _pencil are raised on every call;
+    fd_kappa_spectrum, _fd_node_counts and convergence_order read their
+    eigenvalues here.  Validation errors from _pencil are raised on every call;
     lru_cache keeps no exception.
     """
     _, _, _, _, diag, off = _pencil(n, a, grid)
@@ -328,30 +341,53 @@ def _fd_couplings(n: int, a: int, grid: RadialGrid) -> np.ndarray:
     return w
 
 
+def _block_vectors(sub: np.ndarray, sup: np.ndarray, diag: np.ndarray,
+                   off: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+    """Eigenvectors of A at kappas: those of T from _vectors_at, scaled
+    back by the diagonal similarity between A and T."""
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
+    vectors = _vectors_at(diag, off, kappas)
+    vectors *= scale[:, None]
+    return vectors
+
+
+@functools.lru_cache(maxsize=1024)
+def _fd_node_counts(n: int, a: int, grid: RadialGrid) -> tuple[int, ...]:
+    """Sign changes of each eigenvector of the block _fd_couplings holds
+    for the same key, counted once per key and process.
+
+    The vectors are solved here and dropped; convergence_order, which
+    reads eigenvalues only, never comes here.
+    """
+    _, _, sub, sup, diag, off = _pencil(n, a, grid)
+    vectors = _block_vectors(sub, sup, diag, off, _fd_couplings(n, a, grid))
+    return tuple(_count_sign_changes(vectors[:, k]) for k in range(n + 1))
+
+
 def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleResult:
-    """Coupling eigenvalues and eigenvectors of the discretized pencil.
+    """Coupling eigenvalues and node counts of the discretized pencil.
 
     Returns the n + 1 largest kappa values, the polynomial block, in
-    ascending order, with node counts of the back-transformed vectors.
-    kappas is the read-only block of the per-process cache that
-    convergence_order also reads, solved by _top_block (coarse bisection,
-    then inverse iteration to full accuracy) on the first call at
-    (n, |s|, grid).  The eigenvectors are computed on every call, by
-    _vectors_at at those kappas, so a cold and a warm call return the
-    same bytes.  The grid is validated on every call and must carry at
-    least n + 1 interior nodes.
+    ascending order, with the sign changes of the back-transformed
+    eigenvectors.  kappas is the read-only block of the per-process cache
+    that convergence_order also reads, solved by _top_block (coarse
+    bisection, then inverse iteration to full accuracy) on the first call
+    at (n, |s|, grid); the node counts come from a cache beside it, filled
+    on the same first call from two inverse-iteration steps per branch at
+    those kappas.  A warm call solves nothing.  The eigenvectors are
+    solved again, by the same two steps, only when the result's vectors
+    is first read, so cold and warm results give the same bytes.  The
+    grid is validated on every call and must carry at least n + 1
+    interior nodes.
     """
     n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s)
-    e_n, ri, sub, sup, diag, off = _pencil(n, s, grid)
-    w = _fd_couplings(n, abs(s), grid)
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
-    vectors = _vectors_at(diag, off, w)
-    vectors *= scale[:, None]
-    nodes = tuple(_count_sign_changes(vectors[:, k]) for k in range(vectors.shape[1]))
+    e_n, ri, *_ = _pencil(n, s, grid)
+    a = abs(s)
     return OracleResult(n=n, s=s, e_n=e_n, grid=grid, r=ri,
-                        kappas=w, vectors=vectors, node_counts=nodes)
+                        kappas=_fd_couplings(n, a, grid),
+                        node_counts=_fd_node_counts(n, a, grid))
 
 
 @dataclass(frozen=True)

@@ -222,16 +222,19 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
                          dp: DerivedParams | None = None) -> float:
     """Energy of the branch family at fixed (n, s).
 
-    EqualLarmor: E = (omega_c / 2)(n + 1 + |s| - s); Neutral:
-    E = Omega_q (n + 1 + |s|) - omega_q s / 2.  Without derived parameters
-    the relevant frequency is set to one and the neutral mass-asymmetry
-    shift omega_q (which needs the masses) to zero, giving the energy in
-    units of omega_c resp. Omega_q for a mass-symmetric pair.
+    EqualLarmor: E = (|omega_c| / 2)(n + 1 + |s| - sigma s), sigma =
+    sign(q B), so a pair of negative charges has its charge conjugate's
+    energies with s mirrored; Neutral: E = Omega_q (n + 1 + |s|) -
+    omega_q s / 2.  Without derived parameters the relevant frequency is
+    set to one and the neutral mass-asymmetry shift omega_q (which needs
+    the masses) to zero, giving the energy in units of |omega_c| resp.
+    Omega_q for a mass-symmetric pair.
     """
     a = abs(s)
     if case is CaseTag.EQUAL_LARMOR:
         omega_c = 1.0 if dp is None else dp.omega_c
-        return 0.5 * omega_c * (n + 1 + a - s)
+        sigma = -1 if omega_c < 0.0 else 1
+        return 0.5 * abs(omega_c) * (n + 1 + a - sigma * s)
     if case is CaseTag.NEUTRAL:
         Omega_q = 1.0 if dp is None else dp.Omega_q
         omega_q = 0.0 if dp is None else dp.omega_q

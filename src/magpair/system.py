@@ -118,15 +118,16 @@ def derive(pair: ChargePair) -> DerivedParams:
       omega_c = q B / M               cyclotron frequency of the pair
       Omega_q = e1 B / (2 mr)         neutral only (e1 > 0 after the swap)
       omega_q = e1 B |mu2 - mu1| / mr neutral only
-      B0 = 4 mr M e1^2 e2^2 / q       equal-Larmor characteristic field
+      B0 = 4 mr M e1^2 e2^2 / |q|     equal-Larmor characteristic field
       B0 = 4 mr^2 e1^3                neutral characteristic field
       b  = B / B0                     dimensionless field
 
-    The equal-Larmor formulas assume charges of one sign (the usual
-    convention takes both positive); a pair of negative charges yields the
-    mirrored negative omega_c and B0.  The Landau sector (magpair.landau)
-    reads omega_c through |omega_c| and sign(q B), so its levels and
-    orbitals are physical for either sign.
+    Equal-Larmor charges share one sign.  For a pair of negative charges
+    omega_c is negative, while B0 and b stay positive: the pair has its
+    charge conjugate's characteristic field.  The relative energy
+    (magpair.qes.dimensionless_energy) and the Landau sector
+    (magpair.landau) read omega_c through |omega_c| and sign(q B), so
+    their levels are physical for either sign.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
     if _is_neutral(e1, e2) and e1 < 0:
@@ -154,7 +155,7 @@ def derive(pair: ChargePair) -> DerivedParams:
         B0 = 4.0 * mr ** 2 * e1 ** 3
         b = B / B0
     elif equal_larmor:
-        B0 = 4.0 * mr * M * e1 ** 2 * e2 ** 2 / q
+        B0 = 4.0 * mr * M * e1 ** 2 * e2 ** 2 / abs(q)
         b = B / B0
 
     return DerivedParams(e1=e1, e2=e2, B=B, M=M, mr=mr, mu1=mu1, mu2=mu2,

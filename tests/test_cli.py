@@ -343,6 +343,24 @@ def test_landau_table_of_a_negative_pair_mirrors_S(capsys):
     assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
 
 
+def test_spectrum_table_of_a_negative_pair_mirrors_s(capsys):
+    # the charge conjugate of the positive pair: same couplings and fields,
+    # the energy of s at -s
+    sweep = ["spectrum", "--case", "ec0", "--n", "0..4", "--s=-3..3",
+             "--m1", "1", "--m2", "1", "--B", "1"]
+    code, out, _ = run(capsys, *sweep, "--e1", "-1", "--e2", "-1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    _, pos = parse_csv(run(capsys, *sweep, "--e1", "1", "--e2", "1")[1])
+    mirrored = {(r[0], str(-int(r[1])), r[2], r[4]): r[3:] for r in pos}
+    assert len(rows) == len(pos) == len(mirrored)
+    assert all(r[3:] == mirrored[(r[0], r[1], r[2], r[4])] for r in rows)
+    energy, field = header.index("energy"), header.index("B")
+    assert [r[energy] for r in rows if r[:2] == ["2", "1"]] == ["2.5"] * 3
+    fields = [float(r[field]) for r in rows if r[field]]
+    assert fields and all(f > 0.0 for f in fields)
+
+
 def test_landau_rejects_uncharged_pair(capsys):
     code, _, err = run(capsys, "landau", "--e1", "1", "--e2", "-1",
                        "--m1", "1", "--m2", "1", "--B", "1")

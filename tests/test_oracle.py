@@ -254,6 +254,7 @@ def test_cached_couplings_equal_a_fresh_solve_byte_for_byte():
 
 def test_convergence_order_shares_entries_between_signs_and_grids():
     oracle._fd_couplings.cache_clear()
+    counted = oracle._fd_node_counts.cache_info()
     plus = convergence_order(3, 2)
     assert oracle._fd_couplings.cache_info().misses == 3
     minus = convergence_order(3, -2)
@@ -265,6 +266,8 @@ def test_convergence_order_shares_entries_between_signs_and_grids():
     convergence_order(3, 2, default_grid(3, 2, 801).refined(2))
     info = oracle._fd_couplings.cache_info()
     assert (info.misses, info.hits, info.currsize) == (4, 5, 4)
+    # eigenvalues only: no grid's node counts were taken
+    assert oracle._fd_node_counts.cache_info() == counted
 
 
 def test_cached_finest_kappas_are_read_only():
@@ -326,10 +329,14 @@ def test_warm_spectrum_reads_the_cached_kappas_without_bisection(monkeypatch):
 def test_cold_and_warm_spectra_are_identical_bytes():
     grid = default_grid(5, 2, 3001)
     oracle._fd_couplings.cache_clear()
+    oracle._fd_node_counts.cache_clear()
     cold = fd_kappa_spectrum(5, 2, grid)
-    assert oracle._fd_couplings.cache_info().misses == 1
+    # the node counts read the eigenvalue block once, on their own miss
+    assert oracle._fd_couplings.cache_info()[:2] == (1, 1)
+    assert oracle._fd_node_counts.cache_info()[:2] == (0, 1)
     warm = fd_kappa_spectrum(5, 2, grid)
-    assert oracle._fd_couplings.cache_info().hits == 1
+    assert oracle._fd_couplings.cache_info()[:2] == (2, 1)
+    assert oracle._fd_node_counts.cache_info()[:2] == (1, 1)
     assert cold.kappas.tobytes() == warm.kappas.tobytes()
     assert cold.vectors.tobytes() == warm.vectors.tobytes()
     assert cold.node_counts == warm.node_counts
@@ -343,3 +350,53 @@ def test_vectors_at_refuses_a_shift_between_two_eigenvalues():
     mid[1] = 0.5 * (w[1] + w[2])
     with pytest.raises(RuntimeError, match="eigenvectors"):
         oracle._vectors_at(diag, off, mid)
+
+
+_BLOCKS = _SWEEP + [(n, s, p) for n in range(9) for s in (0, 1, 5, 64)
+                    for p in (2001, 12001)]
+
+
+def test_warm_spectrum_makes_no_lapack_call_and_vectors_wait_for_a_read(
+        monkeypatch):
+    from scipy.linalg import lapack
+
+    calls = []
+    for name in ("dgtsv", "dstebz"):
+        def spy(*args, _real=getattr(lapack, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, spy)
+    oracle._fd_couplings.cache_clear()
+    oracle._fd_node_counts.cache_clear()
+    for n, s, p in _BLOCKS:
+        grid = default_grid(n, s, p)
+        cold = fd_kappa_spectrum(n, s, grid)
+        assert "dstebz" in calls, (n, s, p)
+        del calls[:]
+        warm = fd_kappa_spectrum(n, -s, grid)
+        assert calls == [], (n, s, p)
+        assert warm.kappas is cold.kappas
+        assert warm.node_counts == cold.node_counts
+        # the first read of .vectors solves two gtsv per branch, then keeps them
+        v = warm.vectors
+        assert calls == ["dgtsv"] * (2 * (n + 1)), (n, s, p)
+        assert warm.vectors is v and "vectors" not in repr(warm)
+        assert cold.vectors.tobytes() == v.tobytes(), (n, s, p)
+
+
+def test_vectors_and_node_counts_equal_the_uncached_solve():
+    # the uncached path: a fresh eigenvalue solve, then _vectors_at scaled
+    for n, s, p in _BLOCKS:
+        grid = default_grid(n, s, p)
+        res = fd_kappa_spectrum(n, s, grid)
+        _, _, sub, sup, diag, off = oracle._pencil(n, s, grid)
+        w = oracle._top_block(diag, off, n + 1)
+        scale = np.concatenate(
+            ([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
+        ref = oracle._vectors_at(diag, off, w) * scale[:, None]
+        assert res.kappas.tobytes() == w.tobytes(), (n, s, p)
+        assert res.vectors.tobytes() == ref.tobytes(), (n, s, p)
+        assert res.node_counts == tuple(
+            oracle._count_sign_changes(ref[:, k]) for k in range(n + 1)), \
+            (n, s, p)

@@ -40,6 +40,14 @@ def test_equal_larmor_with_unequal_masses():
     assert dp.omega_c == 1.0
 
 
+def test_negative_pair_has_its_conjugates_field():
+    pos = derive(ChargePair(2.0, 1.0, 2.0, 1.0, 1.0))
+    neg = derive(ChargePair(-2.0, -1.0, 2.0, 1.0, 1.0))
+    assert classify(neg) is CaseTag.EQUAL_LARMOR
+    assert neg.omega_c == -pos.omega_c < 0.0
+    assert (neg.B0, neg.b) == (pos.B0, pos.b) and neg.B0 > 0.0
+
+
 def test_electron_positron_is_neutral():
     dp = derive(ChargePair(1.0, -1.0, 1.0, 1.0, 1.0))
     assert classify(dp) is CaseTag.NEUTRAL
