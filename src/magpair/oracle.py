@@ -28,19 +28,16 @@ block, and inverse iteration with Rayleigh-quotient shifts refines each
 one to within 0.1 eps ||T|| of the fully converged eigenvalue.  Once an
 eigenvalue is isolated, inverse iteration converges cubically where
 bisection gains one bit per sweep (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4).  A block that cannot be isolated or refined is refused
-with RuntimeError.
+Problem, ch. 4), and its last iterate is the eigenvector, correct to
+eps ||T|| (Wilkinson, The Algebraic Eigenvalue Problem, ch. 9).  A block
+that cannot be isolated or refined is refused with RuntimeError.
 
-The eigenvalue-only block of each (n, |s|, grid) is solved once per
-process and kept in an lru_cache of 1024 read-only entries; +s and -s
-share an entry because the pencil depends on s only through |s|.
-convergence_order reads its three grids from it, and fd_kappa_spectrum
-reads its kappas from it.  Eigenvectors come from two inverse-iteration
-steps at each cached eigenvalue, which is already correct to eps ||T||
-(Wilkinson, The Algebraic Eigenvalue Problem, ch. 9).  fd_kappa_spectrum
-needs only their sign changes, kept in a second cache of the same size
-and key: node counts cached per block; vectors on request.
-convergence_order never solves for vectors.
+Each (n, |s|, grid) block is solved once per process and kept in one
+lru_cache of 1024 entries; +s and -s share an entry because the pencil
+depends on s only through |s|.  An entry holds the read-only kappas and
+the node counts, the sign changes of the solve's own eigenvectors scaled
+back to A; the vectors themselves are dropped.  fd_kappa_spectrum and
+convergence_order both read that cache.
 """
 
 from __future__ import annotations
@@ -126,12 +123,9 @@ def default_grid(n: int, s: int, num_points: int = DEFAULT_NUM_POINTS) -> Radial
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Finite-difference coupling block at fixed (n, s).
-
-    vectors is not a field: the back-transformed eigenvectors are solved
-    on its first read, from the pencil of (n, s, grid) at kappas, and kept
-    on the instance.  repr does not print them.
-    """
+    """Finite-difference coupling block at fixed (n, s): the n + 1 largest
+    kappas, ascending and read-only, and the node count of each one's
+    eigenvector.  The eigenvectors are not kept."""
 
     n: int
     s: int
@@ -141,18 +135,20 @@ class OracleResult:
     kappas: np.ndarray      # ascending
     node_counts: tuple[int, ...]
 
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors of A, column k belonging to kappas[k]; the columns
-        node_counts counts, bit for bit."""
-        _, _, sub, sup, diag, off = _pencil(self.n, self.s, self.grid)
-        return _block_vectors(sub, sup, diag, off, self.kappas)
+
+def _is_integer(x) -> bool:
+    """x is an integer or an integral finite float; a bool is not."""
+    if type(x) is int:
+        return True
+    if isinstance(x, numbers.Integral):
+        return not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
 
 
 def _integers(n, s) -> tuple[int, int]:
-    if n < 0 or int(n) != n:
+    if not _is_integer(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if int(s) != s:
+    if not _is_integer(s):
         raise ValueError("s must be an integer")
     return int(n), int(s)
 
@@ -234,20 +230,23 @@ def _quotient(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
     return float(x @ tx)
 
 
-def _top_block(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The k largest eigenvalues of a symmetric tridiagonal matrix T.
+def _top_block(diag: np.ndarray, off: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of a symmetric tridiagonal matrix T.
 
     Bisection (LAPACK stebz, by index) isolates each eigenvalue w_j to an
     absolute width of _ISOLATION; inverse iteration (LAPACK gtsv) refines
     it, two steps at w_j and then Rayleigh-quotient shifts until the
     quotient moves by at most _tolerance(diag, off) = eps ||T||.  The final
-    quotient is the eigenvalue.  Every eigenvalue starts from _start, so
-    the output is reproducible bit for bit.
+    quotient is the eigenvalue and the final unit iterate its eigenvector.
+    Every eigenvalue starts from _start, so the output is reproducible bit
+    for bit.
 
-    Returns the eigenvalues in ascending order.  Raises RuntimeError when
-    bisection fails, two isolating intervals w_j +- _ISOLATION overlap, a
-    shifted factor is singular, the iteration has not converged after
-    _MAX_STEPS steps, or a refined value leaves its interval.
+    Returns the eigenvalues in ascending order and the (m, k) matrix of
+    eigenvectors, column j belonging to eigenvalue j.  Raises RuntimeError
+    when bisection fails, two isolating intervals w_j +- _ISOLATION
+    overlap, a shifted factor is singular, the iteration has not converged
+    after _MAX_STEPS steps, or a refined value leaves its interval.
     """
     # scipy loads on the first solve, so importing magpair stays cheap
     from scipy.linalg.lapack import dgtsv, dstebz
@@ -266,6 +265,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
     start = _start(m)
     tx = np.empty(m)
     values = np.empty(k)
+    rows = np.empty((k, m))
     for j, shift in enumerate(w):
         x = start
         rq = shift
@@ -286,108 +286,50 @@ def _top_block(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
             raise RuntimeError(f"refined eigenvalue {rq!r} left its interval "
                                f"around {w[j]!r}")
         values[j] = rq
-    return values
-
-
-def _vectors_at(diag: np.ndarray, off: np.ndarray,
-                kappas: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of T at eigenvalues already known.
-
-    Each column comes from two inverse-iteration steps (LAPACK gtsv) at the
-    fixed shift kappas[j], starting from _start; with the shift correct to
-    eps ||T|| the second step leaves a residual at rounding level.  Column
-    j belongs to kappas[j].  Raises RuntimeError on a singular factor, or
-    when a column's Rayleigh quotient lies further than eps ||T|| from its
-    eigenvalue, as it does at a shift that is no eigenvalue.  The quotient
-    is taken right after each column's solve, while the vector is still in
-    cache: taken over the whole (m, k) block at once it was 2 to 3 times
-    slower at 12001 points on a 2-core host, and needed two more m x k
-    temporaries.
-    """
-    from scipy.linalg.lapack import dgtsv
-
-    m = len(diag)
-    start = _start(m)
-    rows = np.empty((len(kappas), m))
-    tx = np.empty(m)
-    rq = np.empty(len(kappas))
-    for j, shift in enumerate(kappas):
-        x = start
-        for _ in range(2):
-            _, _, _, y, info = dgtsv(off, diag - shift, off, x[:, None])
-            if info != 0:
-                raise RuntimeError(f"singular factor at shift {shift!r}")
-            x = y[:, 0] / np.linalg.norm(y)
-        rq[j] = _quotient(diag, off, x, tx)
         rows[j] = x
-    if np.any(np.abs(rq - kappas) > _tolerance(diag, off)):
-        raise RuntimeError("inverse iteration at the given shifts did not "
-                           "reach their eigenvectors")
-    return rows.T
+    return values, rows.T
 
 
 @functools.lru_cache(maxsize=1024)
-def _fd_couplings(n: int, a: int, grid: RadialGrid) -> np.ndarray:
-    """Ascending top n + 1 eigenvalues of the pencil at (n, a = |s|) on
-    grid, as a read-only array, solved once per key and process.
+def _fd_block(n: int, a: int,
+              grid: RadialGrid) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The block of the pencil at (n, a = |s|) on grid, solved once per key
+    and process: its ascending top n + 1 eigenvalues as a read-only array,
+    and the sign changes of each one's eigenvector of A.
 
-    fd_kappa_spectrum, _fd_node_counts and convergence_order read their
-    eigenvalues here.  Validation errors from _pencil are raised on every call;
-    lru_cache keeps no exception.
-    """
-    _, _, _, _, diag, off = _pencil(n, a, grid)
-    w = _top_block(diag, off, n + 1)
-    w.flags.writeable = False
-    return w
-
-
-def _block_vectors(sub: np.ndarray, sup: np.ndarray, diag: np.ndarray,
-                   off: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-    """Eigenvectors of A at kappas: those of T from _vectors_at, scaled
-    back by the diagonal similarity between A and T."""
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
-    vectors = _vectors_at(diag, off, kappas)
-    vectors *= scale[:, None]
-    return vectors
-
-
-@functools.lru_cache(maxsize=1024)
-def _fd_node_counts(n: int, a: int, grid: RadialGrid) -> tuple[int, ...]:
-    """Sign changes of each eigenvector of the block _fd_couplings holds
-    for the same key, counted once per key and process.
-
-    The vectors are solved here and dropped; convergence_order, which
-    reads eigenvalues only, never comes here.
+    Those eigenvectors are _top_block's, scaled back by the diagonal
+    similarity between A and T, and are dropped once counted.  Validation
+    errors from _pencil are raised on every call; lru_cache keeps no
+    exception.
     """
     _, _, sub, sup, diag, off = _pencil(n, a, grid)
-    vectors = _block_vectors(sub, sup, diag, off, _fd_couplings(n, a, grid))
-    return tuple(_count_sign_changes(vectors[:, k]) for k in range(n + 1))
+    kappas, vectors = _top_block(diag, off, n + 1)
+    kappas.flags.writeable = False
+    vectors *= np.concatenate(
+        ([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))[:, None]
+    return kappas, tuple(_count_sign_changes(vectors[:, k])
+                         for k in range(n + 1))
 
 
 def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleResult:
     """Coupling eigenvalues and node counts of the discretized pencil.
 
     Returns the n + 1 largest kappa values, the polynomial block, in
-    ascending order, with the sign changes of the back-transformed
-    eigenvectors.  kappas is the read-only block of the per-process cache
-    that convergence_order also reads, solved by _top_block (coarse
-    bisection, then inverse iteration to full accuracy) on the first call
-    at (n, |s|, grid); the node counts come from a cache beside it, filled
-    on the same first call from two inverse-iteration steps per branch at
-    those kappas.  A warm call solves nothing.  The eigenvectors are
-    solved again, by the same two steps, only when the result's vectors
-    is first read, so cold and warm results give the same bytes.  The
-    grid is validated on every call and must carry at least n + 1
-    interior nodes.
+    ascending order, with the sign changes of their eigenvectors.  Both
+    come from the per-process block cache that convergence_order also
+    reads: the first call at (n, |s|, grid) runs _top_block once (coarse
+    bisection, then inverse iteration to full accuracy) and counts the
+    nodes of the vectors it converged; a warm call solves nothing, so cold
+    and warm results give the same bytes.  The grid is validated on every
+    call and must carry at least n + 1 interior nodes.
     """
     n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s)
     e_n, ri, *_ = _pencil(n, s, grid)
-    a = abs(s)
-    return OracleResult(n=n, s=s, e_n=e_n, grid=grid, r=ri,
-                        kappas=_fd_couplings(n, a, grid),
-                        node_counts=_fd_node_counts(n, a, grid))
+    kappas, node_counts = _fd_block(n, abs(s), grid)
+    return OracleResult(n=n, s=s, e_n=e_n, grid=grid, r=ri, kappas=kappas,
+                        node_counts=node_counts)
 
 
 @dataclass(frozen=True)
@@ -467,17 +409,16 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
 
     order = log2(|kappa_h - kappa_{h/2}| / |kappa_{h/2} - kappa_{h/4}|) per
     branch; branches whose increments are already at rounding level are
-    reported as inf.  The three grids are solved for eigenvalues only and
-    read from the cache that fd_kappa_spectrum also reads, so
-    kappas_finest is its kappas on the finest grid, the same read-only
-    array.  Each grid's block is solved once per process and then read
-    from a cache of 1024 entries keyed by (n, |s|, grid), so +s and -s,
-    and a grid and its refined(2), share solves.
+    reported as inf.  The three grids are read from the block cache that
+    fd_kappa_spectrum also reads, so kappas_finest is its kappas on the
+    finest grid, the same read-only array.  Each grid's block is solved
+    once per process, keyed by (n, |s|, grid), so +s and -s, and a grid
+    and its refined(2), share solves.
     """
     n, s = _integers(n, s)
     if grid is None:
         grid = default_grid(n, s, num_points=801)
-    k0, k1, k2 = (_fd_couplings(n, abs(s), g)
+    k0, k1, k2 = (_fd_block(n, abs(s), g)[0]
                   for g in (grid, grid.refined(2), grid.refined(4)))
     scale = max(1.0, float(np.max(np.abs(k2))))
     orders = []

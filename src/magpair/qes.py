@@ -47,6 +47,8 @@ ascending mu = -kappa, so the branch with k nodes is its column k.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +124,23 @@ class EigenPair:
     residual: float
 
 
+def _is_integer(x) -> bool:
+    """x is an integer or an integral finite float; a bool is not."""
+    if type(x) is int:
+        return True
+    if isinstance(x, numbers.Integral):
+        return not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
+
+
 def _validate_ns(n: int, s: int) -> tuple[int, int]:
-    """(n, s) as Python ints; integral floats and numpy integers pass."""
-    if int(n) != n or n < 0:
+    """(n, s) as Python ints; integral floats and numpy integers pass,
+    bools and non-finite values do not."""
+    if not _is_integer(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if n > MAX_DEGREE:
         raise ValueError(f"n = {n} exceeds the configured maximum {MAX_DEGREE}")
-    if int(s) != s:
+    if not _is_integer(s):
         raise ValueError("s must be an integer")
     return int(n), int(s)
 
@@ -225,10 +237,13 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     EqualLarmor: E = (|omega_c| / 2)(n + 1 + |s| - sigma s), sigma =
     sign(q B), so a pair of negative charges has its charge conjugate's
     energies with s mirrored; Neutral: E = Omega_q (n + 1 + |s|) -
-    omega_q s / 2.  Without derived parameters the relevant frequency is
-    set to one and the neutral mass-asymmetry shift omega_q (which needs
-    the masses) to zero, giving the energy in units of |omega_c| resp.
-    Omega_q for a mass-symmetric pair.
+    omega_q s / 2, with the signed mass-asymmetry shift omega_q = e1 B
+    (mu2 - mu1) / mr of magpair.system.derive, so the level with s > 0
+    lies lower when the positive charge is the lighter one and higher when
+    it is the heavier one.  Without derived parameters the relevant
+    frequency is set to one and omega_q (which needs the masses) to zero,
+    giving the energy in units of |omega_c| resp. Omega_q for a
+    mass-symmetric pair.
     """
     a = abs(s)
     if case is CaseTag.EQUAL_LARMOR:

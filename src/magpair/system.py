@@ -117,7 +117,7 @@ def derive(pair: ChargePair) -> DerivedParams:
       qw = e1 mu2^2 + e2 mu1^2        weighted total charge
       omega_c = q B / M               cyclotron frequency of the pair
       Omega_q = e1 B / (2 mr)         neutral only (e1 > 0 after the swap)
-      omega_q = e1 B |mu2 - mu1| / mr neutral only
+      omega_q = e1 B (mu2 - mu1) / mr neutral only, signed
       B0 = 4 mr M e1^2 e2^2 / |q|     equal-Larmor characteristic field
       B0 = 4 mr^2 e1^3                neutral characteristic field
       b  = B / B0                     dimensionless field
@@ -128,6 +128,12 @@ def derive(pair: ChargePair) -> DerivedParams:
     (magpair.qes.dimensionless_energy) and the Landau sector
     (magpair.landau) read omega_c through |omega_c| and sign(q B), so
     their levels are physical for either sign.
+
+    At zero pseudomomentum the neutral relative Hamiltonian is
+    p^2/(2 mr) + e1^2 B^2 r^2/(8 mr) - (omega_q / 2) L_z - e1^2/r, so
+    omega_q carries the sign of mu2 - mu1: positive when the positive
+    charge is the lighter one, negative when it is the heavier one (as in
+    hydrogen), and zero for equal masses.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
     if _is_neutral(e1, e2) and e1 < 0:
@@ -151,7 +157,7 @@ def derive(pair: ChargePair) -> DerivedParams:
     b: float | None = None
     if neutral:
         Omega_q = e1 * B / (2.0 * mr)
-        omega_q = e1 * B * abs(mu2 - mu1) / mr
+        omega_q = e1 * B * (mu2 - mu1) / mr
         B0 = 4.0 * mr ** 2 * e1 ** 3
         b = B / B0
     elif equal_larmor:

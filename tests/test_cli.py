@@ -361,6 +361,20 @@ def test_spectrum_table_of_a_negative_pair_mirrors_s(capsys):
     assert fields and all(f > 0.0 for f in fields)
 
 
+def test_neutral_spectrum_with_the_heavier_positive_charge(capsys):
+    # -(omega_q / 2) L_z with omega_q = e1 B (mu2 - mu1) / mr < 0 here:
+    # the s = +1 level lies above the s = -1 one
+    code, out, _ = run(capsys, "spectrum", "--case", "q0", "--n", "1",
+                       "--s=-1..1", "--e1", "1", "--e2", "-1", "--m1", "3",
+                       "--m2", "1", "--B", "1")
+    assert code == 0
+    header, rows = parse_csv(out)
+    energy = header.index("energy")
+    by_s = {int(r[1]): float(r[energy]) for r in rows}
+    assert by_s[1] == pytest.approx(7.0 / 3.0, rel=1e-12)
+    assert by_s[-1] == pytest.approx(5.0 / 3.0, rel=1e-12)
+
+
 def test_landau_rejects_uncharged_pair(capsys):
     code, _, err = run(capsys, "landau", "--e1", "1", "--e2", "-1",
                        "--m1", "1", "--m2", "1", "--B", "1")

@@ -87,11 +87,14 @@ def test_match_is_vacuous_without_physical_branches():
 
 def test_eigenvector_profile_agrees_pointwise():
     n, s = 2, 0
-    res = fd_kappa_spectrum(n, s, default_grid(n, s, num_points=1501))
+    _, ri, sub, sup, diag, off = oracle._pencil(n, s,
+                                                default_grid(n, s, 1501))
     point = [p for p in secular_spectrum(n, s, EL) if p.physical][0]
     pair = eigenfunction(n, s, point)
-    zeta = assemble_wavefunction(pair, res.r)
-    vec = res.vectors[:, -1].copy()  # largest kappa column
+    zeta = assemble_wavefunction(pair, ri)
+    _, vectors = oracle._top_block(diag, off, n + 1)
+    # the largest kappa's vector of T, scaled back to an eigenvector of A
+    vec = _similarity(sub, sup) * vectors[:, -1]
     i0 = int(np.argmax(np.abs(zeta)))
     vec *= zeta[i0] / vec[i0]
     m = len(zeta)
@@ -135,6 +138,11 @@ def test_non_integer_quantum_numbers_are_rejected():
         fd_kappa_spectrum(2, 1.5)
     with pytest.raises(ValueError):
         fd_kappa_spectrum(2.5, 1)
+    # bools and non-finite values neither
+    for n, s in ((2, math.inf), (math.inf, 0), (math.nan, 0), (2, -math.inf),
+                 (2, math.nan), (True, 0), (2, True), (2, np.False_)):
+        with pytest.raises(ValueError):
+            fd_kappa_spectrum(n, s)
     res = fd_kappa_spectrum(2.0, 1.0, default_grid(2, 1, 401))
     assert (res.n, res.s) == (2, 1) and type(res.n) is type(res.s) is int
 
@@ -185,6 +193,11 @@ def test_convergence_order_validates_like_the_full_solve():
         convergence_order(4, 2, RadialGrid(5e-4, 5.0, 101))
 
 
+def _similarity(sub, sup):
+    """Diagonal of the similarity taking eigenvectors of T to those of A."""
+    return np.concatenate(([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
+
+
 def _row_sum_norm(diag, off):
     rows = np.abs(diag)
     rows[:-1] += np.abs(off)
@@ -204,8 +217,7 @@ def test_top_block_reaches_the_fully_converged_eigenvalues():
         grid = default_grid(n, s, p)
         _, ri, sub, sup, diag, off = oracle._pencil(n, s, grid)
         m, ulp = len(ri), np.finfo(float).eps * _row_sum_norm(diag, off)
-        w = oracle._top_block(diag, off, n + 1)
-        v = oracle._vectors_at(diag, off, w)
+        w, v = oracle._top_block(diag, off, n + 1)
         ref, ref_v = eigh_tridiagonal(diag, off, select="i", tol=1e-300,
                                       select_range=(m - n - 1, m - 1))
         assert np.max(np.abs(w - ref)) <= 0.1 * ulp, (n, s, p)
@@ -215,11 +227,11 @@ def test_top_block_reaches_the_fully_converged_eigenvalues():
         tv[1:] += off[:, None] * v[:-1]
         assert np.max(np.linalg.norm(tv - w * v, axis=0)) <= 4.0 * ulp
         # node counts as fd_kappa_spectrum takes them, on both vector sets
-        scale = np.concatenate(
-            ([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
+        scale = _similarity(sub, sup)
         nodes = [[oracle._count_sign_changes(scale * vecs[:, k])
                   for k in range(n + 1)] for vecs in (v, ref_v)]
         assert nodes[0] == nodes[1], (n, s, p)
+        assert fd_kappa_spectrum(n, s, grid).node_counts == tuple(nodes[1])
 
 
 def test_top_block_refuses_a_pair_it_cannot_isolate():
@@ -228,16 +240,16 @@ def test_top_block_refuses_a_pair_it_cannot_isolate():
     off = np.ones(20)
     with pytest.raises(RuntimeError, match="isolated"):
         oracle._top_block(diag, off, 2)
-    w = oracle._top_block(diag, off, 1)
+    w, v = oracle._top_block(diag, off, 1)
     assert w[0] == pytest.approx(10.746194182903393, abs=1e-13)
-    assert w.shape == (1,)
+    assert w.shape == (1,) and v.shape == (21, 1)
 
 
 def test_top_block_is_reproducible_bit_for_bit():
     _, _, _, _, diag, off = oracle._pencil(5, 2, default_grid(5, 2, 2001))
-    w1 = oracle._top_block(diag, off, 6)
-    w2 = oracle._top_block(diag, off, 6)
-    assert w1.tobytes() == w2.tobytes()
+    w1, v1 = oracle._top_block(diag, off, 6)
+    w2, v2 = oracle._top_block(diag, off, 6)
+    assert w1.tobytes() == w2.tobytes() and v1.tobytes() == v2.tobytes()
     assert fd_kappa_spectrum(5, 2, default_grid(5, 2, 2001)).kappas.tobytes() \
         == w1.tobytes()
 
@@ -246,28 +258,25 @@ def test_cached_couplings_equal_a_fresh_solve_byte_for_byte():
     for n, s, p in ((0, 0, 801), (3, 2, 1601), (6, 4, 3201)):
         grid = default_grid(n, s, p)
         _, _, _, _, diag, off = oracle._pencil(n, s, grid)
-        fresh = oracle._top_block(diag, off, n + 1)
-        cached = oracle._fd_couplings(n, abs(s), grid)
+        fresh, _ = oracle._top_block(diag, off, n + 1)
+        cached, _ = oracle._fd_block(n, abs(s), grid)
         assert cached.tobytes() == fresh.tobytes(), (n, s, p)
-        assert cached is oracle._fd_couplings(n, abs(s), grid)
+        assert cached is oracle._fd_block(n, abs(s), grid)[0]
 
 
 def test_convergence_order_shares_entries_between_signs_and_grids():
-    oracle._fd_couplings.cache_clear()
-    counted = oracle._fd_node_counts.cache_info()
+    oracle._fd_block.cache_clear()
     plus = convergence_order(3, 2)
-    assert oracle._fd_couplings.cache_info().misses == 3
+    assert oracle._fd_block.cache_info().misses == 3
     minus = convergence_order(3, -2)
-    info = oracle._fd_couplings.cache_info()
+    info = oracle._fd_block.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
     assert plus.orders == minus.orders
     assert plus.kappas_finest is minus.kappas_finest
     # the refined(2) of a base grid is solved already at h/2 and h/4
     convergence_order(3, 2, default_grid(3, 2, 801).refined(2))
-    info = oracle._fd_couplings.cache_info()
+    info = oracle._fd_block.cache_info()
     assert (info.misses, info.hits, info.currsize) == (4, 5, 4)
-    # eigenvalues only: no grid's node counts were taken
-    assert oracle._fd_node_counts.cache_info() == counted
 
 
 def test_cached_finest_kappas_are_read_only():
@@ -278,12 +287,12 @@ def test_cached_finest_kappas_are_read_only():
 
 def test_refused_grid_raises_on_every_call():
     bad = RadialGrid(5e-4, 5.0, 101)
-    oracle._fd_couplings.cache_clear()
+    oracle._fd_block.cache_clear()
     for solve in (convergence_order, fd_kappa_spectrum):
         for _ in range(2):
             with pytest.raises(ValueError, match="admissible"):
                 solve(4, 2, bad)
-    assert oracle._fd_couplings.cache_info().currsize == 0
+    assert oracle._fd_block.cache_info().currsize == 0
     # still refused once the same (n, |s|) is cached on an admissible grid
     fd_kappa_spectrum(4, 2, default_grid(4, 2, 801))
     with pytest.raises(ValueError, match="admissible"):
@@ -295,12 +304,12 @@ def test_oracle_checks_read_the_same_cold_and_warm():
         return [(c.name, repr(c.measured), c.passed)
                 for c in cli.run_verification(only="oracle")]
 
-    oracle._fd_couplings.cache_clear()
+    oracle._fd_block.cache_clear()
     cold = rows()
     # 15 fd_kappa_spectrum grids and the 3 of convergence_order
-    assert oracle._fd_couplings.cache_info().misses == 18
+    assert oracle._fd_block.cache_info().misses == 18
     warm = rows()
-    assert oracle._fd_couplings.cache_info().misses == 18
+    assert oracle._fd_block.cache_info().misses == 18
     assert warm == cold and all(passed for _, _, passed in cold)
 
 
@@ -308,8 +317,8 @@ def test_warm_spectrum_reads_the_cached_kappas_without_bisection(monkeypatch):
     from scipy.linalg import lapack
 
     grid = default_grid(4, 3, 2001)
-    oracle._fd_couplings.cache_clear()
-    cached = oracle._fd_couplings(4, 3, grid)
+    oracle._fd_block.cache_clear()
+    cached, _ = oracle._fd_block(4, 3, grid)
     calls = []
     real = lapack.dstebz
 
@@ -328,36 +337,21 @@ def test_warm_spectrum_reads_the_cached_kappas_without_bisection(monkeypatch):
 
 def test_cold_and_warm_spectra_are_identical_bytes():
     grid = default_grid(5, 2, 3001)
-    oracle._fd_couplings.cache_clear()
-    oracle._fd_node_counts.cache_clear()
+    oracle._fd_block.cache_clear()
     cold = fd_kappa_spectrum(5, 2, grid)
-    # the node counts read the eigenvalue block once, on their own miss
-    assert oracle._fd_couplings.cache_info()[:2] == (1, 1)
-    assert oracle._fd_node_counts.cache_info()[:2] == (0, 1)
+    # one miss fills both kappas and node counts
+    assert oracle._fd_block.cache_info()[:2] == (0, 1)
     warm = fd_kappa_spectrum(5, 2, grid)
-    assert oracle._fd_couplings.cache_info()[:2] == (2, 1)
-    assert oracle._fd_node_counts.cache_info()[:2] == (1, 1)
+    assert oracle._fd_block.cache_info()[:2] == (1, 1)
     assert cold.kappas.tobytes() == warm.kappas.tobytes()
-    assert cold.vectors.tobytes() == warm.vectors.tobytes()
     assert cold.node_counts == warm.node_counts
-
-
-def test_vectors_at_refuses_a_shift_between_two_eigenvalues():
-    _, _, _, _, diag, off = oracle._pencil(3, 1, default_grid(3, 1, 801))
-    w = oracle._top_block(diag, off, 4)
-    oracle._vectors_at(diag, off, w)  # the eigenvalues themselves pass
-    mid = w.copy()
-    mid[1] = 0.5 * (w[1] + w[2])
-    with pytest.raises(RuntimeError, match="eigenvectors"):
-        oracle._vectors_at(diag, off, mid)
 
 
 _BLOCKS = _SWEEP + [(n, s, p) for n in range(9) for s in (0, 1, 5, 64)
                     for p in (2001, 12001)]
 
 
-def test_warm_spectrum_makes_no_lapack_call_and_vectors_wait_for_a_read(
-        monkeypatch):
+def test_warm_spectrum_makes_no_lapack_call(monkeypatch):
     from scipy.linalg import lapack
 
     calls = []
@@ -367,36 +361,29 @@ def test_warm_spectrum_makes_no_lapack_call_and_vectors_wait_for_a_read(
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(lapack, name, spy)
-    oracle._fd_couplings.cache_clear()
-    oracle._fd_node_counts.cache_clear()
+    oracle._fd_block.cache_clear()
     for n, s, p in _BLOCKS:
         grid = default_grid(n, s, p)
         cold = fd_kappa_spectrum(n, s, grid)
-        assert "dstebz" in calls, (n, s, p)
+        # one bisection, then at least two gtsv per branch
+        assert calls.count("dstebz") == 1, (n, s, p)
+        assert calls.count("dgtsv") >= 2 * (n + 1), (n, s, p)
         del calls[:]
         warm = fd_kappa_spectrum(n, -s, grid)
         assert calls == [], (n, s, p)
         assert warm.kappas is cold.kappas
         assert warm.node_counts == cold.node_counts
-        # the first read of .vectors solves two gtsv per branch, then keeps them
-        v = warm.vectors
-        assert calls == ["dgtsv"] * (2 * (n + 1)), (n, s, p)
-        assert warm.vectors is v and "vectors" not in repr(warm)
-        assert cold.vectors.tobytes() == v.tobytes(), (n, s, p)
 
 
-def test_vectors_and_node_counts_equal_the_uncached_solve():
-    # the uncached path: a fresh eigenvalue solve, then _vectors_at scaled
+def test_kappas_and_node_counts_equal_the_uncached_solve():
+    # the uncached path: a fresh _top_block solve, its vectors scaled to A
     for n, s, p in _BLOCKS:
         grid = default_grid(n, s, p)
         res = fd_kappa_spectrum(n, s, grid)
         _, _, sub, sup, diag, off = oracle._pencil(n, s, grid)
-        w = oracle._top_block(diag, off, n + 1)
-        scale = np.concatenate(
-            ([1.0], np.cumprod(np.sqrt(sub[1:] / sup[:-1]))))
-        ref = oracle._vectors_at(diag, off, w) * scale[:, None]
+        w, v = oracle._top_block(diag, off, n + 1)
+        ref = v * _similarity(sub, sup)[:, None]
         assert res.kappas.tobytes() == w.tobytes(), (n, s, p)
-        assert res.vectors.tobytes() == ref.tobytes(), (n, s, p)
         assert res.node_counts == tuple(
             oracle._count_sign_changes(ref[:, k]) for k in range(n + 1)), \
             (n, s, p)

@@ -268,9 +268,26 @@ def test_energy_dimensionful_and_neutral():
         dimensionless_energy(1, 0, CaseTag.GENERIC)
 
 
+@pytest.mark.parametrize("m1, m2", [(3.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
+def test_neutral_energy_of_the_charge_conjugate_mirrors_s(m1, m2):
+    # charge conjugation swaps which mass the positive charge carries and
+    # reverses L_z, so the two pairs share their levels with s mirrored
+    pair = derive(ChargePair(1.0, -1.0, m1, m2, 1.5))
+    conjugate = derive(ChargePair(-1.0, 1.0, m1, m2, 1.5))
+    for n in range(4):
+        for s in range(-3, 4):
+            assert dimensionless_energy(n, s, NU, pair) == pytest.approx(
+                dimensionless_energy(n, -s, NU, conjugate), rel=1e-14)
+
+
 def test_spectrum_validations():
     with pytest.raises(ValueError):
         secular_spectrum(-1, 0, EL)
+    # bools and non-finite values are no quantum numbers
+    for n, s in ((math.inf, 0), (math.nan, 0), (-math.inf, 0), (2, math.inf),
+                 (2, math.nan), (True, 0), (2, False), (np.True_, 0)):
+        with pytest.raises(ValueError):
+            secular_spectrum(n, s, EL)
     with pytest.raises(ValueError):
         secular_spectrum(MAX_DEGREE + 1, 0, EL)
     with pytest.raises(ValueError):

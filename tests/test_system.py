@@ -65,7 +65,8 @@ def test_neutral_label_swap_makes_e1_positive():
     # masses followed the swap: the positive charge now carries m = 3
     assert dp.mu1 == pytest.approx(0.75)
     assert dp.Omega_q == pytest.approx(4.0 / 3.0)
-    assert dp.omega_q == pytest.approx(4.0 / 3.0)
+    # the positive charge is the heavier one: mu2 - mu1 < 0
+    assert dp.omega_q == pytest.approx(-4.0 / 3.0)
     assert dp.B0 == pytest.approx(2.25)
     assert dp.b == pytest.approx(8.0 / 9.0)
     assert classify(dp) is CaseTag.NEUTRAL
