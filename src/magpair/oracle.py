@@ -43,8 +43,11 @@ convergence_order both read that cache.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +233,36 @@ def _quotient(diag: np.ndarray, off: np.ndarray, x: np.ndarray,
     return float(x @ tx)
 
 
+@functools.cache
+def _lapack():
+    """scipy's Fortran LAPACK extension, scipy.linalg._flapack, loaded from
+    its file without importing the scipy.linalg package.
+
+    _top_block calls only its dstebz and dgtsv, the very objects that
+    scipy.linalg.lapack exports.  Importing that package would cost about
+    0.23 s on the first solve, two thirds of it in scipy's array-API shim;
+    the extension alone loads in about 4 ms.  Finding scipy's directory
+    imports nothing.  Loaded under its own name, the extension enters
+    sys.modules as scipy.linalg._flapack, so a later import of scipy.linalg
+    reuses it.  Raises ImportError when the extension file is missing.
+    """
+    name = "scipy.linalg._flapack"
+    stem = os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0],
+        "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"no LAPACK extension at {stem}*", name=name,
+                          path=stem)
+    loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
 def _top_block(diag: np.ndarray, off: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs of a symmetric tridiagonal matrix T.
@@ -248,12 +281,13 @@ def _top_block(diag: np.ndarray, off: np.ndarray,
     overlap, a shifted factor is singular, the iteration has not converged
     after _MAX_STEPS steps, or a refined value leaves its interval.
     """
-    # scipy loads on the first solve, so importing magpair stays cheap
-    from scipy.linalg.lapack import dgtsv, dstebz
-
+    # scipy.linalg._flapack, not the 0.23 s scipy.linalg package, loads on
+    # the first solve (see _lapack), so importing magpair loads no scipy;
+    # lib is fetched on every call so tests can spy on its routines
+    lib = _lapack()
     m = len(diag)
-    count, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, m - k + 1, m,
-                                  _ISOLATION, b"E")
+    count, w, _, _, info = lib.dstebz(diag, off, 2, 0.0, 0.0, m - k + 1,
+                                      m, _ISOLATION, b"E")
     if info != 0 or count < k:
         raise RuntimeError(f"bisection failed (info = {info}, "
                            f"{count} of {k} eigenvalues)")
@@ -270,7 +304,7 @@ def _top_block(diag: np.ndarray, off: np.ndarray,
         x = start
         rq = shift
         for step in range(_MAX_STEPS):
-            _, _, _, y, info = dgtsv(off, diag - shift, off, x[:, None])
+            _, _, _, y, info = lib.dgtsv(off, diag - shift, off, x[:, None])
             if info != 0:
                 raise RuntimeError(f"singular factor at shift {shift!r}")
             x = y[:, 0] / np.linalg.norm(y)

@@ -17,6 +17,7 @@ from magpair.oracle import default_grid
 ARGUMENTS = {
     "cli._build_parser": (),
     "oracle._fd_block": (2, 1, default_grid(2, 1, 401)),
+    "oracle._lapack": (),
     "oracle._start": (32,),
     "qes._branch_order": (3,),
     "qes._sector_couplings": (3, 2),

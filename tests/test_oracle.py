@@ -1,7 +1,11 @@
 """Finite-difference oracle: grids, matching, failure modes, order."""
 
 import ast
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -314,8 +318,7 @@ def test_oracle_checks_read_the_same_cold_and_warm():
 
 
 def test_warm_spectrum_reads_the_cached_kappas_without_bisection(monkeypatch):
-    from scipy.linalg import lapack
-
+    lapack = oracle._lapack()
     grid = default_grid(4, 3, 2001)
     oracle._fd_block.cache_clear()
     cached, _ = oracle._fd_block(4, 3, grid)
@@ -352,8 +355,7 @@ _BLOCKS = _SWEEP + [(n, s, p) for n in range(9) for s in (0, 1, 5, 64)
 
 
 def test_warm_spectrum_makes_no_lapack_call(monkeypatch):
-    from scipy.linalg import lapack
-
+    lapack = oracle._lapack()
     calls = []
     for name in ("dgtsv", "dstebz"):
         def spy(*args, _real=getattr(lapack, name), _name=name, **kwargs):
@@ -373,6 +375,48 @@ def test_warm_spectrum_makes_no_lapack_call(monkeypatch):
         assert calls == [], (n, s, p)
         assert warm.kappas is cold.kappas
         assert warm.node_counts == cold.node_counts
+
+
+_LATER_SCIPY_IMPORT = """
+import sys
+import numpy as np
+from magpair import oracle
+blocks = [(4, 2, 3001), (8, 1, 801), (0, 5, 2001)]
+cold = [oracle.fd_kappa_spectrum(n, s, oracle.default_grid(n, s, p)).kappas
+        for n, s, p in blocks]
+assert "scipy.linalg" not in sys.modules, "the solve imported scipy.linalg"
+lib = oracle._lapack()
+from scipy.linalg import eigh_tridiagonal, lapack
+assert lapack.dstebz is lib.dstebz and lapack.dgtsv is lib.dgtsv
+# the same solves, driven through the public scipy.linalg.lapack names
+oracle._lapack = lambda: lapack
+for (n, s, p), kappas in zip(blocks, cold):
+    _, ri, _, _, diag, off = oracle._pencil(n, s, oracle.default_grid(n, s, p))
+    w, _ = oracle._top_block(diag, off, n + 1)
+    assert w.tobytes() == kappas.tobytes(), (n, s, p)
+    m = len(ri)
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                           select_range=(m - n - 1, m - 1), tol=1e-300)
+    assert np.max(np.abs(ref - kappas)) <= oracle._tolerance(diag, off)
+"""
+
+
+def test_a_later_scipy_import_shares_the_loaded_extension():
+    # the oracle loads scipy.linalg._flapack by file; importing scipy.linalg
+    # afterwards must reuse it, and scipy's own solvers must still run
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LATER_SCIPY_IMPORT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_a_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".missing"])
+    with pytest.raises(ImportError, match="_flapack") as info:
+        oracle._lapack.__wrapped__()
+    assert info.value.path.endswith(os.path.join("linalg", "_flapack"))
 
 
 def test_kappas_and_node_counts_equal_the_uncached_solve():
