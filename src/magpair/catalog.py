@@ -28,7 +28,7 @@ import numpy as np
 
 from .polyops import Polynomial
 from .qes import eigenfunction, secular_spectrum
-from .system import CaseTag
+from .system import CaseTag, _integer
 
 __all__ = [
     "BranchComparison",
@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 MAX_CATALOG_DEGREE = 8
-
-
-def _s_abs(s: int) -> float:
-    if int(s) != s:
-        raise ValueError("s must be an integer")
-    return float(abs(int(s)))
 
 
 # The closed forms keep a wide margin from the domain edges of acos and
@@ -97,9 +91,8 @@ def closed_form_lambdas(n: int, s: int) -> tuple[float, ...]:
     for n = 0 whose single entry is the zero-coupling lambda = 0.  For
     n >= 7 the catalog order is not descending in lambda.
     """
-    if not (0 <= n <= MAX_CATALOG_DEGREE):
-        raise ValueError(f"closed forms cover n = 0..{MAX_CATALOG_DEGREE}")
-    a = _s_abs(s)
+    n, s = _integer(n, "n", 0, MAX_CATALOG_DEGREE), _integer(s, "s")
+    a = float(abs(s))
     if n == 0:
         return (0.0,)
     if n == 1:
@@ -211,11 +204,13 @@ def catalog_polynomial(n: int, s: int, j: int) -> Polynomial:
     grows to 4 at n = 7, 8.  Coefficients are stated for the kappa > 0
     branch; the kappa < 0 mirror is its parity flip.
     """
+    n, s = _integer(n, "n", 0, MAX_CATALOG_DEGREE), _integer(s, "s")
     lams = closed_form_lambdas(n, s)
-    if not (1 <= j <= len(lams)):
+    j = _integer(j, "j", 1)
+    if j > len(lams):
         raise ValueError(f"branch j = {j} outside 1..{len(lams)} for n = {n}")
     lam = lams[j - 1]
-    a = _s_abs(s)
+    a = float(abs(s))
     if n == 0:
         return Polynomial((1.0,))
     sq = math.sqrt(lam)
@@ -259,6 +254,7 @@ def compare_catalog_with_solver(n: int, s: int) -> CatalogComparison:
     deviation (see the module docstring); `magpair verify` keeps it
     visible as a canary row.
     """
+    n, s = _integer(n, "n", 0, MAX_CATALOG_DEGREE), _integer(s, "s")
     points = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
     candidates = [p for p in points if p.kappa >= 0.0]
     rows = []
@@ -272,4 +268,4 @@ def compare_catalog_with_solver(n: int, s: int) -> CatalogComparison:
         rows.append(BranchComparison(j=j, lam_rel_err=rel,
                                      coeff_max_abs_err=float(diff[worst]),
                                      worst_coeff_index=worst))
-    return CatalogComparison(n=n, s=int(s), branches=tuple(rows))
+    return CatalogComparison(n=n, s=s, branches=tuple(rows))

@@ -45,6 +45,7 @@ from .polyops import parity_flip
 from .qes import (
     MAX_DEGREE,
     IllConditionedError,
+    _coefficient_residual,
     assemble_wavefunction,
     eigenfunction,
     secular_spectrum,
@@ -452,9 +453,8 @@ def _checks_residuals(ns, ss) -> list[Check]:
             t = build_T_direct(n, s)
             for j, lam in enumerate(closed_form_lambdas(n, s), start=1):
                 c = np.asarray(catalog_polynomial(n, s, j).coeffs)
-                kap = float(np.sqrt(lam))
-                r = np.max(np.abs(t @ c + kap * c)) / np.max(np.abs(c))
-                catalog = max(catalog, float(r))
+                r = _coefficient_residual(c, t, float(np.sqrt(lam)))
+                catalog = max(catalog, r)
     out = []
     if ns_solver and ss_solver:
         out.append(Check("residuals",

@@ -26,6 +26,7 @@ import numpy as np
 from .polyops import Polynomial
 from .qes import EigenPair, assemble_wavefunction
 from .sl2rep import build_T_direct
+from .system import _integer
 
 __all__ = [
     "AnnihilationReport",
@@ -47,11 +48,8 @@ def build_annihilator(n: int, dim: int | None = None) -> np.ndarray:
     """Diagonal int64 matrix of i_n = i_n^(-) on P_(dim-1); dim defaults
     to n + 3 so that the action just beyond P_n stays visible for the
     commutator checks."""
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a nonnegative integer")
-    d = n + 3 if dim is None else dim
-    if d < 1:
-        raise ValueError("dim must be positive")
+    n = _integer(n, "n", 0)
+    d = n + 3 if dim is None else _integer(dim, "dim", 1)
     entries = _diag_entries(n, d, -1)
     if max(abs(e) for e in entries) >= _INT64_SAFE:
         raise ValueError("diagonal entries overflow int64; reduce n or dim")
@@ -79,6 +77,7 @@ def annihilation_check(n: int) -> AnnihilationReport:
     The report carries max_k |i_n rho^k| over k <= n for each sign; the
     minus convention must come out exactly zero, the plus one must not.
     """
+    n = _integer(n, "n", 0)
     minus = _diag_entries(n, n + 1, -1)
     plus = _diag_entries(n, n + 1, +1)
     return AnnihilationReport(max_abs_minus=max(abs(e) for e in minus),
@@ -101,8 +100,9 @@ def commutator_particular_check(n: int, s: int) -> ParticularIntegralReport:
     subspace, not of the whole operator); the truncated top column
     k = n + 2 is not trusted.
     """
+    n = _integer(n, "n", 0)
     d = n + 3
-    t = build_T_direct(n, abs(int(s)), dim=d)
+    t = build_T_direct(n, abs(_integer(s, "s")), dim=d)
     i_op = build_annihilator(n, dim=d)
     bound = (int(np.max(np.abs(t))) + 1) * (int(np.max(np.abs(i_op))) + 1) * 2
     if bound >= _INT64_SAFE:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import DerivedParams
+from .system import DerivedParams, _integer, _radial_samples, _sign
 
 __all__ = [
     "CMState",
@@ -41,23 +41,20 @@ LAGUERRE_ARGUMENT_NOTE = "laguerre argument 2 R^2 / (M omega_c); gaussian expone
 
 @dataclass(frozen=True)
 class CMState:
-    """Landau level of the center of mass."""
+    """Landau level of the center of mass, N >= 0 and S stored as ints."""
 
     N: int
     S: int
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 0:
-            raise ValueError("N must be a nonnegative integer")
-        if int(self.S) != self.S:
-            raise ValueError("S must be an integer")
+        object.__setattr__(self, "N", _integer(self.N, "N", 0))
+        object.__setattr__(self, "S", _integer(self.S, "S"))
 
 
 def laguerre(N: int, alpha: float, x):
     """Generalized Laguerre polynomial L_N^(alpha)(x) by the three-term
     recurrence (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}."""
-    if int(N) != N or N < 0:
-        raise ValueError("N must be a nonnegative integer")
+    N = _integer(N, "N", 0)
     xs = np.asarray(x, dtype=float)
     prev = np.ones_like(xs)
     if N == 0:
@@ -67,10 +64,6 @@ def laguerre(N: int, alpha: float, x):
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - xs) * cur
                           - (k + alpha) * prev) / (k + 1.0)
     return float(cur) if cur.ndim == 0 else cur
-
-
-def _sign(qb: float) -> int:
-    return -1 if qb < 0.0 else 1
 
 
 def cm_energy(state: CMState, dp: DerivedParams) -> float:
@@ -104,32 +97,19 @@ def casimir_identity_check(state: CMState, dp: DerivedParams) -> float:
 
 
 def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
-    """Samples of the radial CM orbital on a strictly ascending,
-    nonnegative grid (NaN is neither).
+    """Samples of the radial CM orbital on R_grid.
 
     chi(R) = R^|S| exp(-M |omega_c| R^2 / 4) L_N^(|S|)(2 R^2 / (M |omega_c|));
     see LAGUERRE_ARGUMENT_NOTE for the argument convention.  The orbital
     depends on omega_c only through |omega_c|, so a pair and its charge
-    conjugate share it.  Requires a charged pair (omega_c != 0).  Where the
-    Gaussian underflows to 0 the orbital is 0, whatever the power and
-    Laguerre factors.
+    conjugate share it.  Requires a charged pair (omega_c != 0).  The grid
+    rules, and the zero where the Gaussian underflows, are
+    magpair.system._radial_samples'.
     """
     if dp.omega_c == 0.0:
         raise ValueError("CM Landau orbitals need a charged pair (q != 0)")
-    r = np.asarray(R_grid, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("R_grid must be a nonempty 1-D array")
-    if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
-        raise ValueError("R_grid must be strictly ascending and nonnegative")
     s_abs = abs(state.S)
     m_om = dp.M * abs(dp.omega_c)
-    with np.errstate(over="ignore"):
-        # far out R^2 overflows, and the Gaussian is 0 there
-        exponent = -0.25 * m_om * r * r
-    gauss = np.exp(exponent)
-    live = gauss > 0.0
-    chi = np.zeros_like(r)
-    x = r[live]
-    chi[live] = (np.power(x, s_abs) * gauss[live]
-                 * laguerre(state.N, float(s_abs), 2.0 * x * x / m_om))
-    return chi
+    return _radial_samples(
+        R_grid, s_abs, m_om,
+        lambda x: laguerre(state.N, float(s_abs), 2.0 * x * x / m_om))

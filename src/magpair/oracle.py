@@ -119,7 +119,8 @@ def _min_r_max(n: int, s: int) -> float:
 
 def default_grid(n: int, s: int, num_points: int = DEFAULT_NUM_POINTS) -> RadialGrid:
     """Grid sized for (n, s): r_max = max(2 sqrt(2n + 2|s| + 2), 10),
-    r_min four decades below."""
+    r_min four decades below.  n >= 0 and s follow _integers."""
+    n, s = _integers(n, s)
     r_max = max(_min_r_max(n, s), 10.0)
     return RadialGrid(r_min=1e-4 * r_max, r_max=r_max, num_points=num_points)
 
@@ -149,6 +150,8 @@ def _is_integer(x) -> bool:
 
 
 def _integers(n, s) -> tuple[int, int]:
+    """(n >= 0, s) as ints by a copy of magpair.system._integer's rule,
+    which keeps the oracle free of magpair imports."""
     if not _is_integer(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if not _is_integer(s):

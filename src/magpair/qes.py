@@ -47,15 +47,14 @@ ascending mu = -kappa, so the branch with k nodes is its column k.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
-from .system import CaseTag, DerivedParams, classify
+from .system import (CaseTag, DerivedParams, _integer, _radial_samples,
+                     _sign, classify)
 
 __all__ = [
     "EigenPair",
@@ -122,27 +121,6 @@ class EigenPair:
     point: SpectralPoint
     polynomial: Polynomial
     residual: float
-
-
-def _is_integer(x) -> bool:
-    """x is an integer or an integral finite float; a bool is not."""
-    if type(x) is int:
-        return True
-    if isinstance(x, numbers.Integral):
-        return not isinstance(x, bool)
-    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
-
-
-def _validate_ns(n: int, s: int) -> tuple[int, int]:
-    """(n, s) as Python ints; integral floats and numpy integers pass,
-    bools and non-finite values do not."""
-    if not _is_integer(n) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if n > MAX_DEGREE:
-        raise ValueError(f"n = {n} exceeds the configured maximum {MAX_DEGREE}")
-    if not _is_integer(s):
-        raise ValueError("s must be an integer")
-    return int(n), int(s)
 
 
 def _symmetrized(n: int, a: int):
@@ -245,11 +223,11 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     giving the energy in units of |omega_c| resp. Omega_q for a
     mass-symmetric pair.
     """
+    n, s = _integer(n, "n", 0), _integer(s, "s")
     a = abs(s)
     if case is CaseTag.EQUAL_LARMOR:
         omega_c = 1.0 if dp is None else dp.omega_c
-        sigma = -1 if omega_c < 0.0 else 1
-        return 0.5 * abs(omega_c) * (n + 1 + a - sigma * s)
+        return 0.5 * abs(omega_c) * (n + 1 + a - _sign(omega_c) * s)
     if case is CaseTag.NEUTRAL:
         Omega_q = 1.0 if dp is None else dp.Omega_q
         omega_q = 0.0 if dp is None else dp.omega_q
@@ -276,7 +254,7 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     identical fields b.  dp, when given, must classify to `case` and makes
     the energies dimensionful.
     """
-    n, s = _validate_ns(n, s)
+    n, s = _integer(n, "n", 0, MAX_DEGREE), _integer(s, "s")
     if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
         raise ValueError("QES branches exist only for EqualLarmor and Neutral")
     if dp is not None and classify(dp) is not case:
@@ -319,7 +297,7 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
     1e-12 of the largest (it is never zero in exact arithmetic, see the
     module docstring) or the residual above RESIDUAL_LIMIT.
     """
-    n, s = _validate_ns(n, s)
+    n, s = _integer(n, "n", 0, MAX_DEGREE), _integer(s, "s")
     if point.n != n or point.s != s:
         raise ValueError("spectral point belongs to a different (n, s)")
     a, k = abs(s), point.nodes
@@ -361,20 +339,8 @@ def assemble_wavefunction(pair: EigenPair, grid) -> np.ndarray:
     """Radial profile zeta = exp(-rho^2/4) rho^|s| p(rho) sampled on grid.
 
     In the scaled radial variable both solvable cases share this profile.
-    The grid must be ascending and nonnegative (NaN is neither).  Where
-    the Gaussian underflows to 0 the profile is 0, whatever the polynomial
-    factor.
+    The grid rules, and the zero where the Gaussian underflows, are
+    magpair.system._radial_samples'.
     """
-    r = np.asarray(grid, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array")
-    if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
-        raise ValueError("grid must be strictly ascending and nonnegative")
-    a = abs(pair.point.s)
-    with np.errstate(over="ignore"):
-        gauss = np.exp(-0.25 * r * r)
-    live = gauss > 0.0
-    zeta = np.zeros_like(r)
-    x = r[live]
-    zeta[live] = gauss[live] * np.power(x, a) * evaluate(pair.polynomial, x)
-    return zeta
+    return _radial_samples(grid, abs(pair.point.s), 1.0,
+                           lambda x: evaluate(pair.polynomial, x))

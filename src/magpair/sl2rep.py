@@ -9,6 +9,8 @@ commutator check only trusts columns k <= N - 2.
 Every operator is a plain square numpy array: int64, except jzero, whose
 half-integer diagonal is float.  Every entry is exactly representable in
 float64, so all identity checks in this module are exact equalities.
+
+Labels n, N, s_abs >= 0 and dim >= 1 follow magpair.system._integer.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .system import _integer
 
 __all__ = [
     "CommutatorReport",
@@ -28,13 +32,6 @@ __all__ = [
 ]
 
 
-def _validate(n: int, N: int) -> None:
-    if n < 0:
-        raise ValueError("representation label n must be nonnegative")
-    if N < 0:
-        raise ValueError("space degree N must be nonnegative")
-
-
 def jplus(n: int, N: int | None = None) -> np.ndarray:
     """Raising generator rho^2 d/drho - n rho on P_N (default N = n).
 
@@ -42,21 +39,21 @@ def jplus(n: int, N: int | None = None) -> np.ndarray:
     rho^n is annihilated, which is what closes the (n+1)-dimensional
     representation.
     """
-    N = n if N is None else N
-    _validate(n, N)
+    n = _integer(n, "n", 0)
+    N = n if N is None else _integer(N, "N", 0)
     return np.diag(np.array([k - n for k in range(N)], dtype=np.int64), -1)
 
 
 def jzero(n: int, N: int | None = None) -> np.ndarray:
     """Grading generator rho d/drho - n/2 on P_N: diagonal k - n/2."""
-    N = n if N is None else N
-    _validate(n, N)
+    n = _integer(n, "n", 0)
+    N = n if N is None else _integer(N, "N", 0)
     return np.diag([k - n / 2.0 for k in range(N + 1)])
 
 
 def jminus(N: int) -> np.ndarray:
     """Lowering generator d/drho on P_N: rho^k maps to k rho^(k-1)."""
-    _validate(0, N)
+    N = _integer(N, "N", 0)
     return np.diag(np.arange(1, N + 1, dtype=np.int64), 1)
 
 
@@ -79,6 +76,7 @@ def commutator_check(n: int, N: int) -> CommutatorReport:
     the relations must hold there exactly (entries are dyadic, the float
     arithmetic is exact).
     """
+    n, N = _integer(n, "n", 0), _integer(N, "N", 0)
     if N < n + 2:
         raise ValueError("need N >= n + 2 for a truncation-free check")
     jp = jplus(n, N).astype(float)
@@ -104,12 +102,8 @@ def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     P_n for the particular-integral checks; the top column is truncated as
     usual.
     """
-    if s_abs < 0:
-        raise ValueError("s_abs must be nonnegative")
-    _validate(n, 0)
-    d = n + 1 if dim is None else dim
-    if d < 1:
-        raise ValueError("dim must be positive")
+    n, s_abs = _integer(n, "n", 0), _integer(s_abs, "s_abs", 0)
+    d = n + 1 if dim is None else _integer(dim, "dim", 1)
     sub = np.array([k - n for k in range(d - 1)], dtype=np.int64)
     sup = np.array([-k * (k + 2 * s_abs) for k in range(1, d)], dtype=np.int64)
     return np.diag(sub, -1) + np.diag(sup, 1)
@@ -126,8 +120,7 @@ def build_T_algebraic(n: int, s_abs: int) -> np.ndarray:
     exercised by the test suite and the verify command; it is deliberately
     not asserted here so the two constructions stay independent.
     """
-    if s_abs < 0:
-        raise ValueError("s_abs must be nonnegative")
+    n, s_abs = _integer(n, "n", 0), _integer(s_abs, "s_abs", 0)
     jp = jplus(n).astype(float)
     j0 = jzero(n)
     jm = jminus(n).astype(float)

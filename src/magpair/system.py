@@ -10,14 +10,21 @@ The relative motion becomes quasi-exactly solvable in exactly two regimes:
 Everything downstream keys off this classification.  Neutral is checked
 first; a pair satisfying both tolerances within rounding is impossible for
 nonzero charges, but the ordering makes the tie deterministic anyway.
+
+It also holds the input rules the other modules share: _integer (what an
+integer input is), _sign (sigma = sign(q B)) and _radial_samples (profiles
+on a checked radial grid).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "CaseTag",
@@ -30,6 +37,53 @@ __all__ = [
 
 #: Relative tolerance for the case classification tests.
 TOL_REL = 1e-12
+
+
+def _is_integer(x) -> bool:
+    """x is an integer or an integral finite float; a bool is not."""
+    if type(x) is int:
+        return True
+    if isinstance(x, numbers.Integral):
+        return not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
+
+
+def _integer(x, name: str, least: int | None = None,
+             most: int | None = None) -> int:
+    """x as a Python int, the one rule for integer inputs: ints, numpy
+    integers and integral finite floats pass; anything else, and a value
+    outside least..most, raises ValueError."""
+    if not _is_integer(x) or (least is not None and x < least):
+        kind = {None: "an integer", 0: "a nonnegative integer",
+                1: "a positive integer"}[least]
+        raise ValueError(f"{name} must be {kind}")
+    if most is not None and x > most:
+        raise ValueError(f"{name} must be at most {most}")
+    return int(x)
+
+
+def _sign(x: float) -> int:
+    """sigma = sign(x) of the energy formulas, +1 at zero."""
+    return -1 if x < 0.0 else 1
+
+
+def _radial_samples(grid, a: int, c: float, f) -> np.ndarray:
+    """rho^a exp(-c rho^2 / 4) f(rho) on grid, a nonempty, strictly
+    ascending, nonnegative 1-D array (NaN is neither).  Where the Gaussian
+    underflows to 0 the sample is 0; f sees the other nodes only."""
+    r = np.asarray(grid, dtype=float)
+    if r.ndim != 1 or r.size == 0:
+        raise ValueError("grid must be a nonempty 1-D array")
+    if not np.all(r >= 0.0) or (r.size > 1 and np.any(np.diff(r) <= 0.0)):
+        raise ValueError("grid must be strictly ascending and nonnegative")
+    with np.errstate(over="ignore"):
+        # far out rho^2 overflows, and the Gaussian is 0 there
+        gauss = np.exp((-0.25 * c) * r * r)
+    live = gauss > 0.0
+    samples = np.zeros_like(r)
+    x = r[live]
+    samples[live] = np.power(x, a) * gauss[live] * f(x)
+    return samples
 
 
 class CaseTag(Enum):
