@@ -51,7 +51,7 @@ from .qes import (
     secular_spectrum,
 )
 from .sl2rep import build_T_algebraic, build_T_direct, commutator_check
-from .system import CaseTag, ChargePair, classify, derive
+from .system import CaseTag, ChargePair, _require_case, derive
 
 __all__ = ["main"]
 
@@ -87,13 +87,10 @@ def _fmt(x) -> str:
 
 
 def _jnum(x):
-    """JSON-ready value rounded to 15 significant digits."""
+    """JSON-ready value: a number as _fmt rounds it, as a float."""
     if x is None or isinstance(x, (str, bool, int)):
         return x
-    v = float(x)
-    if v == 0.0:
-        return 0.0
-    return float(f"{v:.15g}")
+    return float(_fmt(float(x)))
 
 
 def _render(fmt: str, meta: dict, header: list[str], rows: list[dict],
@@ -159,12 +156,9 @@ def _derived_or_none(args, case: CaseTag):
         raise _UsageError("--e1 --e2 --m1 --m2 --B must be given together")
     try:
         dp = derive(ChargePair(args.e1, args.e2, args.m1, args.m2, args.B))
+        _require_case(dp, case)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    got = classify(dp)
-    if got is not case:
-        raise _UsageError(
-            f"parameters classify as {got.value}, not {case.value}")
     return dp
 
 

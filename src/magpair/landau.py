@@ -11,6 +11,10 @@ H_R = p^2/2M - (q B/2M) L_z + q^2 B^2 R^2/8M depends on the sign of q B
 only through the L_z term, so with sigma = sign(q B) the levels carry
 |omega_c| and sigma S: a pair of negative charges has the levels of its
 charge conjugate with S mirrored.
+
+A neutral pair has no Landau levels.  cm_energy, pseudomomentum_sq and
+cm_wavefunction refuse it through _charged, the sector's one
+precondition; casimir_identity_check refuses it through them.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ __all__ = [
 #: polynomial as well; the mixed convention is kept on purpose, and this
 #: exported note states it for consumers that print or store samples.
 LAGUERRE_ARGUMENT_NOTE = "laguerre argument 2 R^2 / (M omega_c); gaussian exponent M omega_c R^2 / 4"
+
+
+def _charged(x: float) -> float:
+    """x = q B or omega_c of a charged pair, returned as given; 0 (q = 0)
+    raises ValueError."""
+    if x == 0.0:
+        raise ValueError("the Landau sector needs a charged pair (q != 0)")
+    return x
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,9 @@ def cm_energy(state: CMState, dp: DerivedParams) -> float:
 
     Degenerate in S for all sigma S >= 0 at fixed N.
     """
-    return 0.5 * abs(dp.omega_c) * (2 * state.N + 1 + abs(state.S)
-                                    - _sign(dp.omega_c) * state.S)
+    omega_c = _charged(dp.omega_c)
+    return 0.5 * abs(omega_c) * (2 * state.N + 1 + abs(state.S)
+                                 - _sign(omega_c) * state.S)
 
 
 def pseudomomentum_sq(state: CMState, q: float, B: float) -> float:
@@ -82,7 +95,7 @@ def pseudomomentum_sq(state: CMState, q: float, B: float) -> float:
 
     Degenerate in S for all sigma S <= 0 at fixed N.
     """
-    qb = q * B
+    qb = _charged(q * B)
     return abs(qb) * (2 * state.N + 1 + abs(state.S) + _sign(qb) * state.S)
 
 
@@ -102,14 +115,11 @@ def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:
     chi(R) = R^|S| exp(-M |omega_c| R^2 / 4) L_N^(|S|)(2 R^2 / (M |omega_c|));
     see LAGUERRE_ARGUMENT_NOTE for the argument convention.  The orbital
     depends on omega_c only through |omega_c|, so a pair and its charge
-    conjugate share it.  Requires a charged pair (omega_c != 0).  The grid
-    rules, and the zero where the Gaussian underflows, are
-    magpair.system._radial_samples'.
+    conjugate share it.  The grid rules, and the zero where the Gaussian
+    underflows, are magpair.system._radial_samples'.
     """
-    if dp.omega_c == 0.0:
-        raise ValueError("CM Landau orbitals need a charged pair (q != 0)")
     s_abs = abs(state.S)
-    m_om = dp.M * abs(dp.omega_c)
+    m_om = dp.M * abs(_charged(dp.omega_c))
     return _radial_samples(
         R_grid, s_abs, m_om,
         lambda x: laguerre(state.N, float(s_abs), 2.0 * x * x / m_om))

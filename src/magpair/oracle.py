@@ -79,7 +79,7 @@ class RadialGrid:
 
     r_min must sit at least three decades below r_max so the one-sided
     regularity closure happens deep inside the r^|s| power-law region.
-    Both ends must be finite and num_points an integer (not a bool).
+    Both ends must be finite and num_points an integer by _is_integer.
     """
 
     r_min: float
@@ -89,9 +89,9 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
             raise ValueError("r_min and r_max must be finite")
-        if isinstance(self.num_points, bool) or \
-                not isinstance(self.num_points, numbers.Integral):
+        if not _is_integer(self.num_points):
             raise ValueError("num_points must be an integer")
+        object.__setattr__(self, "num_points", int(self.num_points))
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.r_min > 1e-3 * self.r_max:

@@ -42,6 +42,8 @@ is nonzero), so no root sits at the origin.
 
 The rank also fixes the eigenvector: the symmetric eigensolve returns
 ascending mu = -kappa, so the branch with k nodes is its column k.
+
+The case rule and the check that dp fits a case live in magpair.system.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
 from .system import (CaseTag, DerivedParams, _integer, _radial_samples,
-                     _sign, classify)
+                     _require_case, _sign)
 
 __all__ = [
     "EigenPair",
@@ -221,20 +223,19 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     it is the heavier one.  Without derived parameters the relevant
     frequency is set to one and omega_q (which needs the masses) to zero,
     giving the energy in units of |omega_c| resp. Omega_q for a
-    mass-symmetric pair.
+    mass-symmetric pair.  dp, when given, must fit case.
     """
     n, s = _integer(n, "n", 0), _integer(s, "s")
+    if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
+        raise ValueError("QES branches exist only for EqualLarmor and Neutral")
+    if dp is not None:
+        _require_case(dp, case)
     a = abs(s)
     if case is CaseTag.EQUAL_LARMOR:
         omega_c = 1.0 if dp is None else dp.omega_c
         return 0.5 * abs(omega_c) * (n + 1 + a - _sign(omega_c) * s)
-    if case is CaseTag.NEUTRAL:
-        Omega_q = 1.0 if dp is None else dp.Omega_q
-        omega_q = 0.0 if dp is None else dp.omega_q
-        if Omega_q is None or omega_q is None:
-            raise ValueError("neutral energy needs neutral derived parameters")
-        return Omega_q * (n + 1 + a) - 0.5 * omega_q * s
-    raise ValueError("no QES energy formula for the generic case")
+    Omega_q, omega_q = (1.0, 0.0) if dp is None else (dp.Omega_q, dp.omega_q)
+    return Omega_q * (n + 1 + a) - 0.5 * omega_q * s
 
 
 def secular_spectrum(n: int, s: int, case: CaseTag,
@@ -251,15 +252,10 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     ascending kappa (oscillation theorem, module docstring).  The exact
     zero mode of even n is snapped to kappa = 0.0, and mirrored roots to
     exact +/- pairs, so the two physical cases quantize to bitwise
-    identical fields b.  dp, when given, must classify to `case` and makes
-    the energies dimensionful.
+    identical fields b.  case and dp are checked by dimensionless_energy;
+    dp makes the energies dimensionful.
     """
     n, s = _integer(n, "n", 0, MAX_DEGREE), _integer(s, "s")
-    if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
-        raise ValueError("QES branches exist only for EqualLarmor and Neutral")
-    if dp is not None and classify(dp) is not case:
-        raise ValueError("derived parameters do not classify to the requested case")
-
     energy = dimensionless_energy(n, s, case, dp)
     kappas = _sector_couplings(n, abs(s)).tolist()
     equal_larmor = case is CaseTag.EQUAL_LARMOR
@@ -323,15 +319,12 @@ def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, 
 
     The zero-coupling branch has no field attached: lambda = 0 means either
     vanishing Coulomb interaction or the singular B -> 0 limit, so
-    ZeroCouplingError is raised.
+    ZeroCouplingError is raised.  dp must fit point.case.
     """
     b = point.b
     if b is None:
         raise ZeroCouplingError("b = 1/lambda is undefined at lambda = 0")
-    if classify(dp) is not point.case:
-        raise ValueError("derived parameters belong to a different case")
-    if dp.B0 is None:
-        raise ValueError("no characteristic field for this case")
+    _require_case(dp, point.case)
     return b, b * dp.B0
 
 

@@ -47,10 +47,19 @@ def test_grid_refuses_non_finite_ends(r_min, r_max):
         RadialGrid(r_min, r_max, 3001)
 
 
-@pytest.mark.parametrize("num_points", [3001.5, 3001.0, True, "3001", None])
+@pytest.mark.parametrize("num_points", [3001.5, True, "3001", None])
 def test_grid_refuses_non_integer_point_count(num_points):
     with pytest.raises(ValueError, match="integer"):
         RadialGrid(1e-4, 10.0, num_points)
+
+
+def test_grid_takes_an_integral_float_point_count_as_an_int():
+    # the oracle's one integer rule, as for n and s
+    for num_points in (3001.0, np.float64(3001.0), np.int64(3001)):
+        g = RadialGrid(1e-4, 10.0, num_points)
+        assert g == RadialGrid(1e-4, 10.0, 3001)
+        assert type(g.num_points) is int
+    assert default_grid(2, 0, 3001.0) == default_grid(2, 0, 3001)
 
 
 def test_grid_refinement_keeps_interval():
