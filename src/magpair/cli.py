@@ -4,23 +4,26 @@ verification suite, and center-of-mass Landau tables.
 Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including
-an `--out` path that cannot be written), 3 solver failure (ill-conditioned
-eigenvector).
+an `--out` path that cannot be written, and parameters whose numbers leave
+the double range), 3 solver failure (ill-conditioned eigenvector).
 
 `main` may be called repeatedly in one process; every call shares one
-argument parser, built on the first call.
+argument parser, built on the first call.  `magpair verify` prints the rows
+declared in _verify_table.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +67,17 @@ _UNIT_PAIR = ChargePair(1.0, 1.0, 1.0, 1.0, 1.0)
 
 class _UsageError(Exception):
     """Invalid command line input; mapped to exit code 2."""
+
+
+@contextlib.contextmanager
+def _refusals():
+    """A library refusal (ValueError) inside is a usage error: the input
+    leaves the library's domain, such as a scale or an energy beyond the
+    double range."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- formatting
@@ -154,11 +168,9 @@ def _derived_or_none(args, case: CaseTag):
         return None
     if not all(given):
         raise _UsageError("--e1 --e2 --m1 --m2 --B must be given together")
-    try:
+    with _refusals():
         dp = derive(ChargePair(args.e1, args.e2, args.m1, args.m2, args.B))
         _require_case(dp, case)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
     return dp
 
 
@@ -178,7 +190,9 @@ def _cmd_spectrum(args) -> str:
     for n in ns:
         for s in ss:
             cf = closed_form_lambdas(n, s) if n <= 8 else ()
-            for p in secular_spectrum(n, s, case, dp):
+            with _refusals():
+                points = secular_spectrum(n, s, case, dp)
+            for p in points:
                 lam_cf = delta = None
                 if cf:
                     best = min(cf, key=lambda v: abs(p.lam - v))
@@ -246,10 +260,11 @@ def _cmd_landau(args) -> str:
     for N in Ns:
         for S in Ss:
             st = CMState(N, S)
-            rows.append({"N": N, "S": S,
-                         "E_R": cm_energy(st, dp),
-                         "K2": pseudomomentum_sq(st, dp.q, dp.B),
-                         "casimir_residual": casimir_identity_check(st, dp)})
+            with _refusals():
+                e_r, k2 = cm_energy(st, dp), pseudomomentum_sq(st, dp.q, dp.B)
+                residual = casimir_identity_check(st, dp)
+            rows.append({"N": N, "S": S, "E_R": e_r, "K2": k2,
+                         "casimir_residual": residual})
     meta = {"command": "landau", "N": Ns, "S": Ss,
             "omega_c": _jnum(dp.omega_c), "q": _jnum(dp.q),
             "B": _jnum(dp.B), "M": _jnum(dp.M)}
@@ -275,10 +290,6 @@ class Check:
         return self.measured >= self.tol
 
 
-def _scope(defaults, chosen) -> list[int]:
-    return [v for v in defaults if chosen is None or v in chosen]
-
-
 def _span(var: str, vals) -> str:
     """The values a nonempty sweep covered, as a check name states them."""
     vals = sorted(vals)
@@ -290,296 +301,268 @@ def _span(var: str, vals) -> str:
     return f"{var}<={hi}" if lo == 0 else f"{var}={lo}..{hi}"
 
 
-def _checks_sl2(ns, ss) -> list[Check]:
-    rep = commutator_check(16, 18)
-    return [Check("sl2", f"P16 {name.replace(',', ' ')}", float(dev), 0.0, "<=")
-            for name, dev in rep.deviations.items()]
+@dataclass(frozen=True)
+class _Row:
+    """One declared verify row.
+
+    n and s are its default sweeps (s by |s|); None sweeps nothing and
+    ignores the flag.  name is a template whose {n} and {s} state the
+    narrowed sweeps as _span does, or a function of them.  measure maps
+    the narrowed sweeps (None for an undeclared one) to the measured value.
+    """
+
+    section: str
+    name: str | Callable[..., str]
+    n: Sequence[int] | None
+    s: Sequence[int] | None
+    measure: Callable[..., float]
+    tol: float
+    direction: str = "<="
 
 
-def _checks_tmatrix(ns, ss) -> list[Check]:
-    ns, ss = _scope(range(17), ns), _scope(range(9), ss)
-    if not ns or not ss:
-        return []
-    worst = 0
-    for n in ns:
-        for a in ss:
-            d = build_T_direct(n, a)
-            g = build_T_algebraic(n, a)
-            worst = max(worst, int(np.max(np.abs(d - g))))
-    return [Check("tmatrix", f"direct vs algebraic {_span('n', ns)} "
-                  f"{_span('|s|', ss)}", float(worst), 0.0, "<=")]
+def _narrow(sweep, chosen):
+    return None if sweep is None else [
+        v for v in sweep if chosen is None or v in chosen]
 
 
-def _checks_catalog(ns, ss) -> list[Check]:
-    ns, ss = _scope(range(9), ns), _scope(range(6), ss)
-    if not ss:
-        return []
-    lam_low = lam_high = coeff_low = canary = 0.0
-    have_8 = False
-    for n in ns:
-        for s in ss:
-            rep = compare_catalog_with_solver(n, s)
-            for br in rep.branches:
-                if n <= 6:
-                    lam_low = max(lam_low, br.lam_rel_err)
-                    coeff_low = max(coeff_low, br.coeff_max_abs_err)
-                else:
-                    lam_high = max(lam_high, br.lam_rel_err)
-                    if n == 7:
-                        coeff_low = max(coeff_low, br.coeff_max_abs_err)
-                    elif s >= 1:
-                        have_8 = True
-                        canary = max(canary, br.coeff_max_abs_err)
-    low = [n for n in ns if n <= 6]
-    high = [n for n in ns if n >= 7]
-    coeff = [n for n in ns if n <= 7]
-    out = []
-    if low:
-        out.append(Check("catalog", f"lambda rel err {_span('n', low)}",
-                         lam_low, 1e-10, "<="))
-    if high:
-        out.append(Check("catalog", f"lambda rel err {_span('n', high)}",
-                         lam_high, 1e-8, "<="))
-    if coeff:
-        out.append(Check("catalog", f"coefficient dev {_span('n', coeff)}",
-                         coeff_low, 1e-9, "<="))
-    if have_8:
+def _points(ns, ss):
+    """The (n, s) points of a narrowed sweep; s is None where undeclared."""
+    return [(n, s) for n in ns for s in ((None,) if ss is None else ss)]
+
+
+def _verify_table() -> list[_Row]:
+    """The verify rows, in output order.
+
+    Rows that read one result at one sweep point share its call through
+    the caches below, which live as long as the returned table: one
+    run_verification call.  Measures look library functions up in this
+    module when they run, so a patched name is the one called.
+    """
+    EL, NU = CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL
+    sl2 = functools.cache(lambda: commutator_check(16, 18).deviations)
+    spectrum = functools.cache(
+        lambda n, s, case: secular_spectrum(n, s, case))
+    branches = functools.cache(
+        lambda n, s: compare_catalog_with_solver(n, s).branches)
+    annihilated = functools.cache(lambda n: annihilation_check(n))
+    particular = functools.cache(
+        lambda n, s: commutator_particular_check(n, s))
+    unit = functools.cache(lambda: derive(_UNIT_PAIR))
+
+    @functools.cache
+    def matched(n, s, points):
+        """The branch match against the FD solve on default_grid(n, s,
+        points), or on the oracle's own default grid for points None."""
+        grid = None if points is None else default_grid(n, s, points)
+        return oracle_match(spectrum(n, s, EL),
+                            fd_kappa_spectrum(n, s, grid), tol=math.inf)
+
+    def peak(f):
+        """Measure: the largest f(n, s) over the sweep, at least 0."""
+        return lambda ns, ss: max(
+            (f(n, s) for n, s in _points(ns, ss)), default=0.0)
+
+    def least(f):
+        """Measure: the smallest f(n, s) over the sweep."""
+        return lambda ns, ss: min(f(n, s) for n, s in _points(ns, ss))
+
+    def count(bad):
+        """Measure: the number of bad findings over the sweep."""
+        return lambda ns, ss: sum(bad(n, s) for n, s in _points(ns, ss))
+
+    def catalog(field):
+        return peak(lambda n, s: max(
+            (getattr(br, field) for br in branches(n, s)), default=0.0))
+
+    def gap(n, s):
+        return int(np.max(np.abs(build_T_direct(n, s)
+                                  - build_T_algebraic(n, s))))
+
+    def mirror(n, s):
+        kap = np.sort([p.kappa for p in spectrum(n, s, EL)])
+        return float(np.max(np.abs(kap + kap[::-1])))
+
+    def structure_bad(n, s):
+        pts = spectrum(n, s, EL)
+        pos = sum(1 for p in pts if p.kappa > 0.0)
+        zero = any(p.kappa == 0.0 for p in pts)
+        return pos != (n + 1) // 2 or zero != (n % 2 == 0)
+
+    def partners(n, s):
+        """The physical (equal-Larmor, neutral) points of each branch j."""
+        nu = {p.j: p for p in spectrum(n, s, NU) if p.physical}
+        return [(pe, nu[pe.j]) for pe in spectrum(n, s, EL) if pe.physical]
+
+    def flip(n, s):
+        worst = 0.0
+        for pe, pn in partners(n, s):
+            ce = eigenfunction(n, s, pe).polynomial
+            cn = eigenfunction(n, s, pn).polynomial
+            worst = max(worst, max(abs(x - y) for x, y in
+                                   zip(parity_flip(ce).coeffs, cn.coeffs)))
+        return worst
+
+    def shared_b(n, s):
+        return max((max(abs(pn.b - pe.b), abs(pn.kappa + pe.kappa))
+                    for pe, pn in partners(n, s)), default=0.0)
+
+    # node counts of the finite-difference eigenvectors, so that the
+    # section does not rest on the rank it checks
+    def ladder_bad(n, s):
+        rows = matched(n, s, 801).rows
+        counts = [r.nodes_fd for r in rows]
+        # n = 0 has no physical branch and an empty ladder
+        return sorted(counts) != list(range((n - 1) // 2 + 1)) \
+            or any(r.nodes_fd != r.nodes_alg for r in rows)
+
+    def map_bad(n, s):
+        # the closed-form branch labels are the printed ones, not descending
+        # in lambda; map each label to the nearest solver branch before
+        # reading off the node count
+        rows = matched(n, s, 801).rows
+        lams = closed_form_lambdas(n, s)
+        bad = 0
+        for want, jc in enumerate((1, 3, 2)):
+            near = min(rows, key=lambda r: abs(
+                r.kappa_alg * r.kappa_alg - lams[jc - 1]))
+            bad += near.nodes_fd != want
+        return bad
+
+    def solver_residual(n, s):
+        return max((eigenfunction(n, s, p).residual
+                    for p in spectrum(n, s, EL)), default=0.0)
+
+    def closed_residual(n, s):
+        t = build_T_direct(n, s)
+        worst = 0.0
+        for j, lam in enumerate(closed_form_lambdas(n, s), start=1):
+            c = np.asarray(catalog_polynomial(n, s, j).coeffs)
+            r = _coefficient_residual(c, t, float(np.sqrt(lam)))
+            worst = max(worst, r)
+        return worst
+
+    def identity(N, _):
+        dp = unit()
+        return max(abs(casimir_identity_check(CMState(N, S), dp))
+                   for S in range(-10, 11))
+
+    def degeneracy(level):
+        """The largest |level(N, S) - level(N, 0)| at one N, S = 0..10."""
+        def at(N, _):
+            base = level(N, 0)
+            return max(abs(level(N, S) - base) for S in range(11))
+        return at
+
+    def gauge(case):
+        """The gauge-dressed action of branch j = 1, relative to zeta."""
+        def at(n, s):
+            grid = np.linspace(0.25, 12.0, 48)
+            pts = [p for p in spectrum(n, s, case) if p.j == 1]
+            pair = eigenfunction(n, s, pts[0])
+            g = gauge_rotated_action(pair, grid)
+            z = assemble_wavefunction(pair, grid)
+            return float(np.max(np.abs(g)) / np.max(np.abs(z)))
+        return at
+
+    return [
+        _Row("sl2", "P16 [J0 J+] - J+", None, None,
+             lambda ns, ss: sl2()["[J0,J+] - J+"], 0.0),
+        _Row("sl2", "P16 [J0 J-] + J-", None, None,
+             lambda ns, ss: sl2()["[J0,J-] + J-"], 0.0),
+        _Row("sl2", "P16 [J+ J-] + 2J0", None, None,
+             lambda ns, ss: sl2()["[J+,J-] + 2J0"], 0.0),
+        _Row("tmatrix", "direct vs algebraic {n} {s}", range(17), range(9),
+             peak(gap), 0.0),
+        _Row("catalog", "lambda rel err {n}", range(7), range(6),
+             catalog("lam_rel_err"), 1e-10),
+        _Row("catalog", "lambda rel err {n}", range(7, 9), range(6),
+             catalog("lam_rel_err"), 1e-8),
+        _Row("catalog", "coefficient dev {n}", range(8), range(6),
+             catalog("coeff_max_abs_err"), 1e-9),
         # canary for the printed rho^7 slot at n=8: the deviation against the
         # secular eigenvector is a documented property of the stored formulas
         # and must stay visible, not get patched away
-        out.append(Check("catalog", "printed n=8 rho^7 deviation persists",
-                         canary, 1e-3, ">="))
-    return out
-
-
-def _checks_symmetry(ns, ss) -> list[Check]:
-    ns, ss = _scope(range(13), ns), _scope(range(4), ss)
-    if not ns or not ss:
-        return []
-    mirror = structure = coeff = bshare = 0.0
-    for n in ns:
-        for s in ss:
-            pts = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
-            kap = np.sort([p.kappa for p in pts])
-            mirror = max(mirror, float(np.max(np.abs(kap + kap[::-1]))))
-            pos = sum(1 for p in pts if p.kappa > 0.0)
-            zero = any(p.kappa == 0.0 for p in pts)
-            if pos != (n + 1) // 2 or zero != (n % 2 == 0):
-                structure += 1.0
-            if n > 8:
-                continue
-            nu = {p.j: p for p in secular_spectrum(n, s, CaseTag.NEUTRAL)
-                  if p.physical}
-            for pe in pts:
-                if not pe.physical:
-                    continue
-                pn = nu[pe.j]
-                bshare = max(bshare, abs(pn.b - pe.b), abs(pn.kappa + pe.kappa))
-                ce = eigenfunction(n, s, pe).polynomial
-                cn = eigenfunction(n, s, pn).polynomial
-                coeff = max(coeff, max(abs(x - y) for x, y in
-                                       zip(parity_flip(ce).coeffs, cn.coeffs)))
-    out = [
-        Check("symmetry", f"kappa mirror multiset {_span('n', ns)}", mirror,
-              1e-12, "<="),
-        Check("symmetry", "positive count and zero membership", structure,
-              0.0, "<="),
+        _Row("catalog", "printed n=8 rho^7 deviation persists", (8,),
+             range(1, 6), catalog("coeff_max_abs_err"), 1e-3, ">="),
+        _Row("symmetry", "kappa mirror multiset {n}", range(13), range(4),
+             peak(mirror), 1e-12),
+        _Row("symmetry", "positive count and zero membership", range(13),
+             range(4), count(structure_bad), 0.0),
+        _Row("symmetry", "neutral parity-flip coefficients {n}", range(9),
+             range(4), peak(flip), 1e-10),
+        _Row("symmetry", "shared field quantization b", range(9), range(4),
+             peak(shared_b), 0.0),
+        _Row("nodes", "ladder 0..floor((n-1)/2) {n}", range(9), range(3),
+             count(ladder_bad), 0.0),
+        _Row("nodes", "n=5,6 map j=1,3,2 -> 0,1,2", (5, 6), range(3),
+             count(map_bad), 0.0),
+        _Row("residuals", "solver eigenpairs {n}", range(13), (0, 1, 2, 5),
+             peak(solver_residual), 1e-12),
+        # n = 0 has the one closed form lambda = 0, whose residual is exactly 0
+        _Row("residuals", "closed forms {n}", range(7), range(6),
+             peak(closed_residual), 1e-9),
+        _Row("oracle", "kappa vs finite differences {n} {s}", range(5),
+             range(3), peak(lambda n, s: matched(n, s, None).max_abs_err),
+             1e-4),
+        _Row("oracle", "node counts agree", range(5), range(3),
+             count(lambda n, s: not matched(n, s, None).nodes_all_match), 0.0),
+        _Row("oracle",
+             lambda ns, ss: f"grid convergence order at ({ns[-1]},{ss[-1]})",
+             range(5), range(3),
+             lambda ns, ss: convergence_order(ns[-1], ss[-1]).min_order,
+             1.8, ">="),
+        _Row("casimir",
+             lambda Ns, _: "K^2 - 2qB S - 2M E_R sweep " + (
+                 "N,|S|<=10" if Ns == list(range(11))
+                 else f"{_span('N', Ns)} |S|<=10"),
+             range(11), None, peak(identity), 1e-12),
+        _Row("casimir", "E_R degenerate in S>=0", range(11), None,
+             peak(degeneracy(lambda N, S: cm_energy(CMState(N, S), unit()))),
+             0.0),
+        _Row("casimir", "K^2 degenerate in S<=0", range(11), None,
+             peak(degeneracy(lambda N, S: pseudomomentum_sq(
+                 CMState(N, -S), unit().q, unit().B))), 0.0),
+        _Row("annihilator", "minus convention kills P_n {n}", range(11), None,
+             peak(lambda n, _: annihilated(n).max_abs_minus), 0.0),
+        _Row("annihilator", "plus convention does not (n>=1)", range(1, 11),
+             None, least(lambda n, _: annihilated(n).max_abs_plus),
+             1.0, ">="),
+        _Row("annihilator", "[T, i_n] = 0 on P_n {n} {s}", range(11),
+             range(6), peak(lambda n, s: particular(n, s).max_abs_on_pn),
+             0.0),
+        _Row("annihilator", "[T, i_n] nonzero beyond P_n", range(1, 11),
+             range(6), least(lambda n, s: particular(n, s).max_abs_beyond),
+             1.0, ">="),
+        _Row("annihilator", "gauge-dressed action equal-Larmor", (3,), (1,),
+             peak(gauge(EL)), 1e-12),
+        _Row("annihilator", "gauge-dressed action neutral", (3,), (1,),
+             peak(gauge(NU)), 1e-12),
     ]
-    low = [n for n in ns if n <= 8]
-    if low:
-        out += [
-            Check("symmetry", "neutral parity-flip coefficients "
-                  f"{_span('n', low)}", coeff, 1e-10, "<="),
-            Check("symmetry", "shared field quantization b", bshare, 0.0,
-                  "<="),
-        ]
-    return out
-
-
-def _checks_nodes(ns, ss) -> list[Check]:
-    ns, ss = _scope(range(9), ns), _scope(range(3), ss)
-    if not ns or not ss:
-        return []
-    bad_ladder = bad_map = 0.0
-    saw56 = False
-    for n in ns:
-        for s in ss:
-            # node counts of the finite-difference eigenvectors, so that the
-            # section does not rest on the rank it checks
-            fd = fd_kappa_spectrum(n, s, default_grid(n, s, 801))
-            rows = oracle_match(secular_spectrum(n, s, CaseTag.EQUAL_LARMOR),
-                                fd, tol=float("inf")).rows
-            counts = [r.nodes_fd for r in rows]
-            # n = 0 has no physical branch and an empty ladder
-            if sorted(counts) != list(range((n - 1) // 2 + 1)) \
-                    or any(r.nodes_fd != r.nodes_alg for r in rows):
-                bad_ladder += 1.0
-            if n in (5, 6):
-                # the closed-form branch labels are the printed ones, not
-                # descending in lambda; map each label to the nearest
-                # solver branch before reading off the node count
-                saw56 = True
-                lams = closed_form_lambdas(n, s)
-                for want, jc in enumerate((1, 3, 2)):
-                    near = min(rows, key=lambda r: abs(
-                        r.kappa_alg * r.kappa_alg - lams[jc - 1]))
-                    if near.nodes_fd != want:
-                        bad_map += 1.0
-    out = [Check("nodes", f"ladder 0..floor((n-1)/2) {_span('n', ns)}",
-                 bad_ladder, 0.0, "<=")]
-    if saw56:
-        out.append(Check("nodes", "n=5,6 map j=1,3,2 -> 0,1,2", bad_map,
-                         0.0, "<="))
-    return out
-
-
-def _checks_residuals(ns, ss) -> list[Check]:
-    solver = catalog = 0.0
-    # n = 0 has the one closed form lambda = 0, whose residual is exactly 0
-    ns_solver, ns_closed = _scope(range(13), ns), _scope(range(7), ns)
-    ss_solver, ss_closed = _scope((0, 1, 2, 5), ss), _scope(range(6), ss)
-    for n in ns_solver:
-        for s in ss_solver:
-            for p in secular_spectrum(n, s, CaseTag.EQUAL_LARMOR):
-                solver = max(solver, eigenfunction(n, s, p).residual)
-    for n in ns_closed:
-        for s in ss_closed:
-            t = build_T_direct(n, s)
-            for j, lam in enumerate(closed_form_lambdas(n, s), start=1):
-                c = np.asarray(catalog_polynomial(n, s, j).coeffs)
-                r = _coefficient_residual(c, t, float(np.sqrt(lam)))
-                catalog = max(catalog, r)
-    out = []
-    if ns_solver and ss_solver:
-        out.append(Check("residuals",
-                         f"solver eigenpairs {_span('n', ns_solver)}",
-                         solver, 1e-12, "<="))
-    if ns_closed and ss_closed:
-        out.append(Check("residuals", f"closed forms {_span('n', ns_closed)}",
-                         catalog, 1e-9, "<="))
-    return out
-
-
-def _checks_oracle(ns, ss) -> list[Check]:
-    ns = _scope(range(5), ns)
-    ss = _scope(range(3), ss)
-    if not ns or not ss:
-        return []
-    err = nodes_bad = 0.0
-    for n in ns:
-        for s in ss:
-            res = fd_kappa_spectrum(n, s)
-            pts = secular_spectrum(n, s, CaseTag.EQUAL_LARMOR)
-            rep = oracle_match(pts, res, tol=float("inf"))
-            err = max(err, rep.max_abs_err)
-            if not rep.nodes_all_match:
-                nodes_bad += 1.0
-    order = convergence_order(ns[-1], ss[-1]).min_order
-    return [
-        Check("oracle", "kappa vs finite differences "
-              f"{_span('n', ns)} {_span('|s|', ss)}", err, 1e-4, "<="),
-        Check("oracle", "node counts agree", nodes_bad, 0.0, "<="),
-        Check("oracle", f"grid convergence order at ({ns[-1]},{ss[-1]})",
-              order, 1.8, ">="),
-    ]
-
-
-def _checks_casimir(ns, ss) -> list[Check]:
-    dp = derive(_UNIT_PAIR)
-    Ns = _scope(range(11), ns)
-    if not Ns:
-        return []
-    worst = deg_e = deg_k = 0.0
-    for N in Ns:
-        for S in range(-10, 11):
-            worst = max(worst, abs(casimir_identity_check(CMState(N, S), dp)))
-        e0 = cm_energy(CMState(N, 0), dp)
-        k0 = pseudomomentum_sq(CMState(N, 0), dp.q, dp.B)
-        for S in range(11):
-            deg_e = max(deg_e, abs(cm_energy(CMState(N, S), dp) - e0))
-            deg_k = max(deg_k, abs(
-                pseudomomentum_sq(CMState(N, -S), dp.q, dp.B) - k0))
-    sweep = ("N,|S|<=10" if Ns == list(range(11))
-             else f"{_span('N', Ns)} |S|<=10")
-    return [
-        Check("casimir", f"K^2 - 2qB S - 2M E_R sweep {sweep}", worst,
-              1e-12, "<="),
-        Check("casimir", "E_R degenerate in S>=0", deg_e, 0.0, "<="),
-        Check("casimir", "K^2 degenerate in S<=0", deg_k, 0.0, "<="),
-    ]
-
-
-def _checks_annihilator(ns, ss) -> list[Check]:
-    ns, ss = _scope(range(11), ns), _scope(range(6), ss)
-    if not ns:
-        return []
-    minus = comm = 0.0
-    plus = beyond = float("inf")
-    for n in ns:
-        rep = annihilation_check(n)
-        minus = max(minus, float(rep.max_abs_minus))
-        if n >= 1:
-            plus = min(plus, float(rep.max_abs_plus))
-        for s in ss:
-            pr = commutator_particular_check(n, s)
-            comm = max(comm, float(pr.max_abs_on_pn))
-            if n >= 1:
-                beyond = min(beyond, float(pr.max_abs_beyond))
-    above = any(n >= 1 for n in ns)
-    out = [Check("annihilator", f"minus convention kills P_n {_span('n', ns)}",
-                 minus, 0.0, "<=")]
-    if above:
-        out.append(Check("annihilator", "plus convention does not (n>=1)",
-                         plus, 1.0, ">="))
-    if ss:
-        out.append(Check("annihilator", "[T, i_n] = 0 on P_n "
-                         f"{_span('n', ns)} {_span('|s|', ss)}", comm, 0.0,
-                         "<="))
-    if above and ss:
-        out.append(Check("annihilator", "[T, i_n] nonzero beyond P_n",
-                         beyond, 1.0, ">="))
-    if 3 in ns and 1 in ss:
-        grid = np.linspace(0.25, 12.0, 48)
-        for case, label in ((CaseTag.EQUAL_LARMOR, "equal-Larmor"),
-                            (CaseTag.NEUTRAL, "neutral")):
-            pts = [p for p in secular_spectrum(3, 1, case) if p.j == 1]
-            pair = eigenfunction(3, 1, pts[0])
-            g = gauge_rotated_action(pair, grid)
-            z = assemble_wavefunction(pair, grid)
-            rel = float(np.max(np.abs(g)) / np.max(np.abs(z)))
-            out.append(Check("annihilator", f"gauge-dressed action {label}",
-                             rel, 1e-12, "<="))
-    return out
-
-
-_CHECK_BUILDERS = {
-    "sl2": _checks_sl2,
-    "tmatrix": _checks_tmatrix,
-    "catalog": _checks_catalog,
-    "symmetry": _checks_symmetry,
-    "nodes": _checks_nodes,
-    "residuals": _checks_residuals,
-    "oracle": _checks_oracle,
-    "casimir": _checks_casimir,
-    "annihilator": _checks_annihilator,
-}
 
 
 def run_verification(ns: list[int] | None = None, ss: list[int] | None = None,
                      only: str | None = None,
                      tol: float | None = None) -> list[Check]:
-    """Build and evaluate the ordered check list.
+    """Evaluate the declared rows, in order.
 
-    ns and ss restrict the sweeps of the sections they apply to (ss by
-    |s|); only selects a single section; tol, when given, replaces every
-    check's tolerance (direction semantics unchanged).
+    ns and ss narrow each row's own sweeps (ss by |s|), and a row whose
+    narrowed sweep visits no point is omitted; only selects a single
+    section; tol, when given, replaces every check's tolerance (direction
+    semantics unchanged).
     """
     if ss is not None:
         ss = [abs(v) for v in ss]
-    checks = [c for section, build in _CHECK_BUILDERS.items()
-              if only in (None, section) for c in build(ns, ss)]
-    if tol is not None:
-        checks = [replace(c, tol=tol) for c in checks]
+    checks = []
+    for row in _verify_table():
+        if only not in (None, row.section):
+            continue
+        rn, rs = _narrow(row.n, ns), _narrow(row.s, ss)
+        if rn == [] or rs == []:
+            continue  # the narrowed sweep visits no point
+        name = row.name(rn, rs) if callable(row.name) else row.name.format(
+            n=rn and _span("n", rn), s=rs and _span("|s|", rs))
+        checks.append(Check(row.section, name, float(row.measure(rn, rs)),
+                            row.tol if tol is None else tol, row.direction))
     return checks
 
 
@@ -646,7 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the verification suite")
     vf.add_argument("--n", default=None, help="restrict sweeps, int or a..b")
     vf.add_argument("--s", default=None, help="restrict sweeps, int or a..b")
-    vf.add_argument("--only", choices=list(_CHECK_BUILDERS), default=None)
+    vf.add_argument("--only", default=None, choices=list(dict.fromkeys(
+        row.section for row in _verify_table())))
     vf.add_argument("--tol", type=float, default=None,
                     help="override every tolerance")
     _add_output(vf)

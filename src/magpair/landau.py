@@ -14,7 +14,9 @@ charge conjugate with S mirrored.
 
 A neutral pair has no Landau levels.  cm_energy, pseudomomentum_sq and
 cm_wavefunction refuse it through _charged, the sector's one
-precondition; casimir_identity_check refuses it through them.
+precondition; casimir_identity_check refuses it through them.  A level
+or residual beyond the double range raises ValueError
+(magpair.system._in_range).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import DerivedParams, _integer, _radial_samples, _sign
+from .system import DerivedParams, _in_range, _integer, _radial_samples, _sign
 
 __all__ = [
     "CMState",
@@ -85,8 +87,8 @@ def cm_energy(state: CMState, dp: DerivedParams) -> float:
     Degenerate in S for all sigma S >= 0 at fixed N.
     """
     omega_c = _charged(dp.omega_c)
-    return 0.5 * abs(omega_c) * (2 * state.N + 1 + abs(state.S)
-                                 - _sign(omega_c) * state.S)
+    return _in_range(0.5 * abs(omega_c) * (2 * state.N + 1 + abs(state.S)
+                                           - _sign(omega_c) * state.S), "E_R")
 
 
 def pseudomomentum_sq(state: CMState, q: float, B: float) -> float:
@@ -96,7 +98,8 @@ def pseudomomentum_sq(state: CMState, q: float, B: float) -> float:
     Degenerate in S for all sigma S <= 0 at fixed N.
     """
     qb = _charged(q * B)
-    return abs(qb) * (2 * state.N + 1 + abs(state.S) + _sign(qb) * state.S)
+    k2 = abs(qb) * (2 * state.N + 1 + abs(state.S) + _sign(qb) * state.S)
+    return _in_range(k2, "K^2")
 
 
 def casimir_identity_check(state: CMState, dp: DerivedParams) -> float:
@@ -106,7 +109,8 @@ def casimir_identity_check(state: CMState, dp: DerivedParams) -> float:
     through q B / M; with dyadic-exact parameters the residual is 0.0.
     """
     k2 = pseudomomentum_sq(state, dp.q, dp.B)
-    return k2 - 2.0 * dp.q * dp.B * state.S - 2.0 * dp.M * cm_energy(state, dp)
+    return _in_range(k2 - 2.0 * dp.q * dp.B * state.S
+                     - 2.0 * dp.M * cm_energy(state, dp), "casimir residual")
 
 
 def cm_wavefunction(state: CMState, dp: DerivedParams, R_grid) -> np.ndarray:

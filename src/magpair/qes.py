@@ -55,8 +55,8 @@ import numpy as np
 
 from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
-from .system import (CaseTag, DerivedParams, _integer, _radial_samples,
-                     _require_case, _sign)
+from .system import (CaseTag, DerivedParams, _in_range, _integer,
+                     _radial_samples, _require_case, _sign)
 
 __all__ = [
     "EigenPair",
@@ -223,7 +223,8 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     it is the heavier one.  Without derived parameters the relevant
     frequency is set to one and omega_q (which needs the masses) to zero,
     giving the energy in units of |omega_c| resp. Omega_q for a
-    mass-symmetric pair.  dp, when given, must fit case.
+    mass-symmetric pair.  dp, when given, must fit case, and an energy
+    beyond the double range raises ValueError.
     """
     n, s = _integer(n, "n", 0), _integer(s, "s")
     if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
@@ -233,9 +234,12 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     a = abs(s)
     if case is CaseTag.EQUAL_LARMOR:
         omega_c = 1.0 if dp is None else dp.omega_c
-        return 0.5 * abs(omega_c) * (n + 1 + a - _sign(omega_c) * s)
-    Omega_q, omega_q = (1.0, 0.0) if dp is None else (dp.Omega_q, dp.omega_q)
-    return Omega_q * (n + 1 + a) - 0.5 * omega_q * s
+        energy = 0.5 * abs(omega_c) * (n + 1 + a - _sign(omega_c) * s)
+    elif dp is None:
+        energy = float(n + 1 + a)  # Omega_q = 1, omega_q = 0
+    else:
+        energy = dp.Omega_q * (n + 1 + a) - 0.5 * dp.omega_q * s
+    return _in_range(energy, "energy")
 
 
 def secular_spectrum(n: int, s: int, case: CaseTag,

@@ -12,7 +12,8 @@ first; a pair satisfying both tolerances within rounding is impossible for
 nonzero charges, but the ordering makes the tie deterministic anyway.
 
 It also holds the rules the other modules share: _integer (integer inputs),
-_sign (sigma = sign(q B)), _radial_samples (profiles on a radial grid),
+_sign (sigma = sign(q B)), _in_range (a computed scale or energy is a
+finite float, or ValueError), _radial_samples (profiles on a radial grid),
 _classify (the case rule) and _require_case (dp fits a case, or ValueError).
 """
 
@@ -65,6 +66,17 @@ def _integer(x, name: str, least: int | None = None,
 def _sign(x: float) -> int:
     """sigma = sign(x) of the energy formulas, +1 at zero."""
     return -1 if x < 0.0 else 1
+
+
+def _in_range(x: float, what: str, nonzero: bool = False) -> float:
+    """x, computed from finite inputs, when it is finite and, with nonzero,
+    not 0; else ValueError.  The one range rule for derive's scales and the
+    energy formulas: inf or NaN is an overflow, and 0 where no valid input
+    gives 0 is an underflow."""
+    if math.isfinite(x) and (x != 0.0 or not nonzero):
+        return x
+    fault = "underflows to 0" if x == 0.0 else "overflows"
+    raise ValueError(f"{what} {fault} in double precision")
 
 
 def _radial_samples(grid, a: int, c: float, f) -> np.ndarray:
@@ -204,32 +216,41 @@ def derive(pair: ChargePair) -> DerivedParams:
     omega_q carries the sign of mu2 - mu1: positive when the positive
     charge is the lighter one, negative when it is the heavier one (as in
     hydrogen), and zero for equal masses.
+
+    A pair whose scales leave the double range is refused (ValueError, see
+    _in_range): any field that is not finite, or a scale that no valid pair
+    makes 0 (M, mr, mu1, mu2, Omega_q, B0, b, and omega_c outside the
+    neutral case) rounded to 0.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
-    M = m1 + m2
-    mr = m1 * m2 / M
-    mu1, mu2 = m1 / M, m2 / M
-    q = e1 + e2
-    ec = e1 * mu2 - e2 * mu1
+    M = _in_range(m1 + m2, "M")
+    mr = _in_range(m1 * m2 / M, "mr", nonzero=True)
+    mu1 = _in_range(m1 / M, "mu1", nonzero=True)
+    mu2 = _in_range(m2 / M, "mu2", nonzero=True)
+    q = _in_range(e1 + e2, "q")
+    ec = _in_range(e1 * mu2 - e2 * mu1, "ec")
     case = _classify(e1, e2, mu1, mu2, q, ec)
     if case is CaseTag.NEUTRAL and e1 < 0:
         # swap the labels: q, M, mr and the case stay, ec changes sign
         e1, e2, mu1, mu2, ec = e2, e1, mu2, mu1, -ec
-    qw = e1 * mu2 ** 2 + e2 * mu1 ** 2
-    omega_c = q * B / M
+    qw = _in_range(e1 * mu2 ** 2 + e2 * mu1 ** 2, "qw")
+    omega_c = _in_range(q * B / M, "omega_c", nonzero=case is not _NEUTRAL)
 
     Omega_q: float | None = None
     omega_q: float | None = None
     B0: float | None = None
     b: float | None = None
     if case is CaseTag.NEUTRAL:
-        Omega_q = e1 * B / (2.0 * mr)
-        omega_q = e1 * B * (mu2 - mu1) / mr
-        B0 = 4.0 * mr ** 2 * e1 ** 3
-        b = B / B0
-    elif case is CaseTag.EQUAL_LARMOR:
-        B0 = 4.0 * mr * M * e1 ** 2 * e2 ** 2 / abs(q)
-        b = B / B0
+        Omega_q = _in_range(e1 * B / (2.0 * mr), "Omega_q", nonzero=True)
+        omega_q = _in_range(e1 * B * (mu2 - mu1) / mr, "omega_q")
+    if case is not CaseTag.GENERIC:
+        try:
+            B0 = (4.0 * mr ** 2 * e1 ** 3 if case is CaseTag.NEUTRAL
+                  else 4.0 * mr * M * e1 ** 2 * e2 ** 2 / abs(q))
+        except OverflowError:  # a float ** raises where * returns inf
+            B0 = math.inf
+        B0 = _in_range(B0, "B0", nonzero=True)
+        b = _in_range(B / B0, "b", nonzero=True)
 
     return DerivedParams(e1=e1, e2=e2, B=B, M=M, mr=mr, mu1=mu1, mu2=mu2,
                          q=q, ec=ec, qw=qw, omega_c=omega_c,
