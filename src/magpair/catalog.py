@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import _integer
 from .polyops import Polynomial
 from .qes import eigenfunction, secular_spectrum
-from .system import CaseTag, _integer
+from .system import CaseTag
 
 __all__ = [
     "BranchComparison",

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rules import _integer
 from .polyops import Polynomial
 from .qes import EigenPair, assemble_wavefunction
 from .sl2rep import build_T_direct
-from .system import _integer
 
 __all__ = [
     "AnnihilationReport",

@@ -16,7 +16,7 @@ A neutral pair has no Landau levels.  cm_energy, pseudomomentum_sq and
 cm_wavefunction refuse it through _charged, the sector's one
 precondition; casimir_identity_check refuses it through them.  A level
 or residual beyond the double range raises ValueError
-(magpair.system._in_range).
+(magpair._rules._in_range).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import DerivedParams, _in_range, _integer, _radial_samples, _sign
+from ._rules import _in_range, _integer
+from .system import DerivedParams, _radial_samples, _sign
 
 __all__ = [
     "CMState",

@@ -46,11 +46,12 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._rules import _integer
 
 __all__ = [
     "DEFAULT_NUM_POINTS",
@@ -79,7 +80,7 @@ class RadialGrid:
 
     r_min must sit at least three decades below r_max so the one-sided
     regularity closure happens deep inside the r^|s| power-law region.
-    Both ends must be finite and num_points an integer by _is_integer.
+    Both ends must be finite and num_points an integer by _rules._integer.
     """
 
     r_min: float
@@ -89,9 +90,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
             raise ValueError("r_min and r_max must be finite")
-        if not _is_integer(self.num_points):
-            raise ValueError("num_points must be an integer")
-        object.__setattr__(self, "num_points", int(self.num_points))
+        object.__setattr__(self, "num_points",
+                           _integer(self.num_points, "num_points"))
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.r_min > 1e-3 * self.r_max:
@@ -119,8 +119,8 @@ def _min_r_max(n: int, s: int) -> float:
 
 def default_grid(n: int, s: int, num_points: int = DEFAULT_NUM_POINTS) -> RadialGrid:
     """Grid sized for (n, s): r_max = max(2 sqrt(2n + 2|s| + 2), 10),
-    r_min four decades below.  n >= 0 and s follow _integers."""
-    n, s = _integers(n, s)
+    r_min four decades below.  n >= 0 and s follow magpair._rules._integer."""
+    n, s = _integer(n, "n", 0), _integer(s, "s")
     r_max = max(_min_r_max(n, s), 10.0)
     return RadialGrid(r_min=1e-4 * r_max, r_max=r_max, num_points=num_points)
 
@@ -138,25 +138,6 @@ class OracleResult:
     r: np.ndarray           # interior nodes carrying the unknowns
     kappas: np.ndarray      # ascending
     node_counts: tuple[int, ...]
-
-
-def _is_integer(x) -> bool:
-    """x is an integer or an integral finite float; a bool is not."""
-    if type(x) is int:
-        return True
-    if isinstance(x, numbers.Integral):
-        return not isinstance(x, bool)
-    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
-
-
-def _integers(n, s) -> tuple[int, int]:
-    """(n >= 0, s) as ints by a copy of magpair.system._integer's rule,
-    which keeps the oracle free of magpair imports."""
-    if not _is_integer(n) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not _is_integer(s):
-        raise ValueError("s must be an integer")
-    return int(n), int(s)
 
 
 def _pencil(n: int, s: int, grid: RadialGrid):
@@ -360,7 +341,7 @@ def fd_kappa_spectrum(n: int, s: int, grid: RadialGrid | None = None) -> OracleR
     and warm results give the same bytes.  The grid is validated on every
     call and must carry at least n + 1 interior nodes.
     """
-    n, s = _integers(n, s)
+    n, s = _integer(n, "n", 0), _integer(s, "s")
     if grid is None:
         grid = default_grid(n, s)
     e_n, ri, *_ = _pencil(n, s, grid)
@@ -452,7 +433,7 @@ def convergence_order(n: int, s: int, grid: RadialGrid | None = None) -> OrderRe
     once per process, keyed by (n, |s|, grid), so +s and -s, and a grid
     and its refined(2), share solves.
     """
-    n, s = _integers(n, s)
+    n, s = _integer(n, "n", 0), _integer(s, "s")
     if grid is None:
         grid = default_grid(n, s, num_points=801)
     k0, k1, k2 = (_fd_block(n, abs(s), g)[0]

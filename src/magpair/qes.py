@@ -53,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import _in_range, _integer
 from .polyops import Polynomial, evaluate
 from .sl2rep import build_T_direct
-from .system import (CaseTag, DerivedParams, _in_range, _integer,
-                     _radial_samples, _require_case, _sign)
+from .system import (CaseTag, DerivedParams, _radial_samples, _require_case,
+                     _sign)
 
 __all__ = [
     "EigenPair",

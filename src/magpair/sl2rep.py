@@ -10,7 +10,7 @@ Every operator is a plain square numpy array: int64, except jzero, whose
 half-integer diagonal is float.  Every entry is exactly representable in
 float64, so all identity checks in this module are exact equalities.
 
-Labels n, N, s_abs >= 0 and dim >= 1 follow magpair.system._integer.
+Labels n, N, s_abs >= 0 and dim >= 1 follow magpair._rules._integer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import _integer
+from ._rules import _integer
 
 __all__ = [
     "CommutatorReport",

@@ -11,21 +11,22 @@ Everything downstream keys off this classification.  Neutral is checked
 first; a pair satisfying both tolerances within rounding is impossible for
 nonzero charges, but the ordering makes the tie deterministic anyway.
 
-It also holds the rules the other modules share: _integer (integer inputs),
-_sign (sigma = sign(q B)), _in_range (a computed scale or energy is a
-finite float, or ValueError), _radial_samples (profiles on a radial grid),
-_classify (the case rule) and _require_case (dp fits a case, or ValueError).
+It also holds the physics rules the other modules share: _sign
+(sigma = sign(q B)), _radial_samples (profiles on a radial grid), _classify
+(the case rule) and _require_case (dp fits a case, or ValueError).  The
+input rules, _integer and _in_range, live in magpair._rules.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
+
+from ._rules import _in_range
 
 __all__ = [
     "CaseTag",
@@ -40,43 +41,9 @@ __all__ = [
 TOL_REL = 1e-12
 
 
-def _is_integer(x) -> bool:
-    """x is an integer or an integral finite float; a bool is not."""
-    if type(x) is int:
-        return True
-    if isinstance(x, numbers.Integral):
-        return not isinstance(x, bool)
-    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
-
-
-def _integer(x, name: str, least: int | None = None,
-             most: int | None = None) -> int:
-    """x as a Python int, the one rule for integer inputs: ints, numpy
-    integers and integral finite floats pass; anything else, and a value
-    outside least..most, raises ValueError."""
-    if not _is_integer(x) or (least is not None and x < least):
-        kind = {None: "an integer", 0: "a nonnegative integer",
-                1: "a positive integer"}[least]
-        raise ValueError(f"{name} must be {kind}")
-    if most is not None and x > most:
-        raise ValueError(f"{name} must be at most {most}")
-    return int(x)
-
-
 def _sign(x: float) -> int:
     """sigma = sign(x) of the energy formulas, +1 at zero."""
     return -1 if x < 0.0 else 1
-
-
-def _in_range(x: float, what: str, nonzero: bool = False) -> float:
-    """x, computed from finite inputs, when it is finite and, with nonzero,
-    not 0; else ValueError.  The one range rule for derive's scales and the
-    energy formulas: inf or NaN is an overflow, and 0 where no valid input
-    gives 0 is an underflow."""
-    if math.isfinite(x) and (x != 0.0 or not nonzero):
-        return x
-    fault = "underflows to 0" if x == 0.0 else "overflows"
-    raise ValueError(f"{what} {fault} in double precision")
 
 
 def _radial_samples(grid, a: int, c: float, f) -> np.ndarray:
@@ -218,9 +185,9 @@ def derive(pair: ChargePair) -> DerivedParams:
     hydrogen), and zero for equal masses.
 
     A pair whose scales leave the double range is refused (ValueError, see
-    _in_range): any field that is not finite, or a scale that no valid pair
-    makes 0 (M, mr, mu1, mu2, Omega_q, B0, b, and omega_c outside the
-    neutral case) rounded to 0.
+    magpair._rules._in_range): any field that is not finite, or a scale
+    that no valid pair makes 0 (M, mr, mu1, mu2, Omega_q, B0, b, and
+    omega_c outside the neutral case) rounded to 0 or to a subnormal.
     """
     e1, e2, m1, m2, B = pair.e1, pair.e2, pair.m1, pair.m2, pair.B
     M = _in_range(m1 + m2, "M")

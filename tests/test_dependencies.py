@@ -57,3 +57,14 @@ def test_the_walk_sees_imports_inside_functions(tmp_path):
     probe.write_text("def f():\n    import sympy\n    from mpmath import mp\n",
                      encoding="utf-8")
     assert list(_imports(probe)) == [(2, "sympy"), (3, "mpmath")]
+
+
+def test_the_shared_input_rules_import_only_the_standard_library():
+    # the witnesses share magpair._rules with the machinery they check, so
+    # it must not pull in physics: no relative import, no magpair, no numpy
+    path = ROOT / "src" / "magpair" / "_rules.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert all(node.level == 0 for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom))
+    modules = {module for _, module in _imports(path)}
+    assert modules and modules <= set(sys.stdlib_module_names)

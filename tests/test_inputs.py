@@ -1,7 +1,7 @@
 """One rule for the library's integer inputs.
 
 Every public entry point that takes a quantum number or a matrix size
-(n, s, s_abs, N, S, j, dim) applies magpair.system._integer: ints, numpy
+(n, s, s_abs, N, S, j, dim) applies magpair._rules._integer: ints, numpy
 integers and integral finite floats pass and give the plain-int result; a
 bool, a non-integral value, NaN, an infinity and a value below the bound
 raise ValueError.  The entry points are discovered, not listed, so a new one
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import magpair
-from magpair import oracle, system
 
 EL = magpair.CaseTag.EQUAL_LARMOR
 GRID = magpair.default_grid(2, 1, 401)
@@ -122,23 +121,3 @@ def test_integer_like_inputs_give_the_plain_int_result(name, parameter):
                   np.float64(plain), Fraction(plain)):
         assert _same(_call(name, **{parameter: value}), expected), value
 
-
-RULE_INPUTS = [0, 3, -2, 2 ** 70, np.int64(5), np.int32(-1), np.uint8(7),
-               2.0, -3.0, np.float64(4.0), 1e300, Fraction(4), 2.5,
-               Fraction(1, 2), np.float64(0.5), math.nan, math.inf, -math.inf,
-               True, False, np.True_, np.False_, "2", None, complex(2, 0)]
-
-
-@pytest.mark.parametrize("value", RULE_INPUTS, ids=repr)
-def test_the_oracle_copy_of_the_integer_rule_agrees(value):
-    assert system._is_integer(value) is oracle._is_integer(value)
-    for name, least, call in (("n", 0, lambda v: oracle._integers(v, 0)[0]),
-                              ("s", None, lambda v: oracle._integers(0, v)[1])):
-        try:
-            expected = call(value)
-        except ValueError:
-            with pytest.raises(ValueError):
-                system._integer(value, name, least)
-        else:
-            got = system._integer(value, name, least)
-            assert type(got) is int and got == expected

@@ -160,15 +160,59 @@ def test_non_integer_quantum_numbers_are_rejected():
     assert (res.n, res.s) == (2, 1) and type(res.n) is type(res.s) is int
 
 
+#: Modules that check the physics without sharing any of it.  A witness may
+#: import the input rules of magpair._rules and nothing else from magpair.
+WITNESSES = ("oracle",)
+
+
+def _magpair_imports(path):
+    """The magpair modules path imports, nested imports too, with relative
+    imports resolved against the package; one that leaves it stays as
+    written."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = f"magpair.{module}" if module else "magpair"
+            elif node.level > 1:
+                module = "." * node.level + module
+            modules = ([f"{module}.{a.name}" for a in node.names]
+                       if module == "magpair" else [module])
+        else:
+            continue
+        yield from (m for m in modules
+                    if m.startswith(".") or m.split(".")[0] == "magpair")
+
+
 def test_oracle_imports_nothing_from_magpair():
-    # the witness stays independent of the polynomial machinery it checks
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for a in node.names]
-    names += [("." * node.level) + (node.module or "")
-              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert [m for m in names
-            if m.startswith(".") or m.split(".")[0] == "magpair"] == []
+    # a witness imports no physics from magpair: the input rules carry none
+    src = Path(oracle.__file__).parent
+    for name in WITNESSES:
+        assert set(_magpair_imports(src / f"{name}.py")) <= {
+            "magpair._rules"}, name
+
+
+def test_the_witness_rule_refuses_any_other_magpair_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    text = Path(oracle.__file__).read_text(encoding="utf-8") + (
+        "from . import _rules\nimport magpair._rules\n"
+        "from magpair._rules import _in_range\n")
+    probe.write_text(text, encoding="utf-8")
+    assert set(_magpair_imports(probe)) == {"magpair._rules"}
+    for stray, module in (
+            ("from .system import _sign", "magpair.system"),
+            ("from . import qes", "magpair.qes"),
+            ("from magpair import qes", "magpair.qes"),
+            ("import magpair", "magpair"),
+            ("import magpair.qes as q", "magpair.qes"),
+            ("def f():\n    from .polyops import evaluate", "magpair.polyops"),
+            ("from .. import magpair", "..")):
+        probe.write_text(f"{text}{stray}\n", encoding="utf-8")
+        assert set(_magpair_imports(probe)) - {"magpair._rules"} == {
+            module}, stray
 
 
 def test_domain_too_small_is_rejected():

@@ -1,7 +1,8 @@
 """The double range: a pair or level whose numbers leave it is refused.
 
-magpair.system._in_range is the one rule.  derive refuses a derived field
-that is not finite, or a scale that no valid pair makes 0 rounded to 0;
+magpair._rules._in_range is the one rule.  derive refuses a derived field
+that is not finite, or a scale that no valid pair makes 0 rounded to 0 or
+to a subnormal, where fewer than 15 digits survive;
 the energy formulas refuse a result that is not finite.  Each refusal is
 a ValueError, which the CLI reports as one error line with exit code 2,
 so no spectrum or landau cell prints inf or nan.
@@ -11,6 +12,7 @@ import csv
 import dataclasses
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +39,11 @@ OUT_OF_RANGE = [
     ((1e308, 1e308, 1.0, 1.0, 1.0), "q overflows"),
     ((1.0, 1.0, 1e308, 1e308, 1.0), "M overflows"),
     ((1.0, 1.0, 1e-200, 1e-200, 1.0), "mr underflows to 0"),
-    ((1.0, -1.0, 5e-324, 1e10, 1.0), "mu1 underflows to 0"),
+    ((1.0, -1.0, 1e-30, 1e300, 1.0), "mu1 underflows to 0"),
+    ((1.0, -1.0, 5e-324, 1e10, 1.0), "mr underflows to a subnormal"),
     ((1.0, -1.0, 0.5, 0.5, 1e308), "Omega_q overflows"),
     ((1e20, 1e20, 1.0, 1.0, 1e-300), "b underflows to 0"),
+    ((1.0, -1.0, 1.0, 1.0, 1e-310), "Omega_q underflows to a subnormal"),
 ]
 
 #: CLI invocations that left the double range before the rule existed:
@@ -60,6 +64,9 @@ COMMANDS = [
      "--m1", "1", "--m2", "1", "--B", "1e307"),
     ("landau", "--n", "64", "--s", "64", "--e1", "1", "--e2", "1",
      "--m1", "1", "--m2", "1", "--B", "1e307"),
+    # a subnormal energy scale printed with fewer than 15 digits right
+    ("spectrum", "--case", "q0", "--n", "1", "--e1", "1", "--e2", "-1",
+     "--m1", "1", "--m2", "1", "--B", "1e-310"),
 ]
 
 
@@ -76,6 +83,11 @@ def test_derive_keeps_a_pair_near_the_edge():
     # a neutral pair's omega_c is 0 and an equal-mass omega_q is 0
     dp = derive(ChargePair(1.0, -1.0, 1.0, 1.0, 1.0))
     assert dp.omega_c == 0.0 and dp.omega_q == 0.0 and dp.B0 == 1.0
+    # the smallest normal double is a scale; half of it is a subnormal
+    tiny = sys.float_info.min
+    assert derive(ChargePair(1.0, -1.0, 1.0, 1.0, tiny)).Omega_q == tiny
+    with pytest.raises(ValueError, match="^Omega_q underflows to a subnormal"):
+        derive(ChargePair(1.0, -1.0, 1.0, 1.0, tiny / 2))
 
 
 def test_energy_formulas_refuse_a_result_beyond_the_double_range():
