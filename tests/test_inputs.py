@@ -11,12 +11,15 @@ cannot land unchecked.
 import dataclasses
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import magpair
+from magpair import oracle
+from magpair._rules import _integer
 
 EL = magpair.CaseTag.EQUAL_LARMOR
 GRID = magpair.default_grid(2, 1, 401)
@@ -121,3 +124,26 @@ def test_integer_like_inputs_give_the_plain_int_result(name, parameter):
                   np.float64(plain), Fraction(plain)):
         assert _same(_call(name, **{parameter: value}), expected), value
 
+
+
+RULE_INPUTS = [0, 3, -2, 2 ** 70, np.int64(5), np.int32(-1), np.uint8(7),
+               2.0, -3.0, np.float64(4.0), 1e300, Fraction(4), 2.5,
+               Fraction(1, 2), np.float64(0.5), math.nan, math.inf, -math.inf,
+               True, False, np.True_, np.False_, "2", None, complex(2, 0)]
+
+
+@pytest.mark.parametrize("value", RULE_INPUTS, ids=repr)
+def test_the_oracle_copy_of_the_integer_rule_agrees(value):
+    """The oracle keeps no copy of the integer rule: its n and s refuse
+    exactly what magpair._rules._integer refuses, with the same message,
+    and an accepted value gives the grid of its plain int."""
+    for name, least, call in (("n", 0, lambda v: oracle.default_grid(v, 0)),
+                              ("s", None, lambda v: oracle.default_grid(0, v))):
+        try:
+            plain = _integer(value, name, least)
+        except ValueError as refusal:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                call(value)
+        else:
+            assert type(plain) is int and plain == value
+            assert call(value) == call(plain)
