@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import _integer
+from ._rules import _in_range, _integer
 from .polyops import Polynomial
 from .qes import eigenfunction, secular_spectrum
 from .system import CaseTag
@@ -45,7 +45,19 @@ MAX_CATALOG_DEGREE = 8
 
 # The closed forms keep a wide margin from the domain edges of acos and
 # sqrt: over n = 5..8 and |s| <= 2000 and 10^4..10^8, |cos theta| <= 0.881
-# and min z_i >= 0.04 max z_i, so neither needs a clamp.
+# and min z_i >= 0.04 max z_i, so neither needs a clamp.  Their range edge
+# is refused instead, by magpair._rules._in_range: each radicand as it
+# enters the phase, each denominator a polynomial uses, and each lambda.
+
+def _phase(num: float, radicand: float) -> float:
+    """theta = acos(num / radicand^1.5), refused where radicand^1.5 leaves
+    the double range."""
+    try:
+        power = radicand ** 1.5
+    except OverflowError:  # float ** raises where * would give inf
+        power = math.inf
+    return math.acos(num / _in_range(power, "closed-form radicand^1.5"))
+
 
 def _aux_cubic(n: int, a: float) -> tuple[float, float, float]:
     """(center, amplitude, theta) of the n = 5, 6 branches
@@ -59,7 +71,7 @@ def _aux_cubic(n: int, a: float) -> tuple[float, float, float]:
         center = (28.0 / 3.0) * (7.0 + 4.0 * a)
         num = 8.0 * (7.0 + 4.0 * a) * (1939.0 + 1001.0 * a + 286.0 * a * a)
     amplitude = (4.0 / 3.0) * math.sqrt(radicand)
-    return center, amplitude, math.acos(num / radicand ** 1.5)
+    return center, amplitude, _phase(num, radicand)
 
 
 def _aux_quartic(n: int, a: float) -> tuple[float, tuple[float, ...]]:
@@ -79,7 +91,7 @@ def _aux_quartic(n: int, a: float) -> tuple[float, tuple[float, ...]]:
         f = 4671.0 + 344.0 * w
         num = 9.0 * math.sqrt(3.0) * (a2 + 8.0 * w * (a3 + 1976.0 * w * (291.0 + 8.0 * w)))
         center = 15.0 * (9.0 + 4.0 * a)
-    theta = math.acos(num / radicand ** 1.5)
+    theta = _phase(num, radicand)
     amp = math.sqrt(12.0 * radicand)
     return center, tuple(amp * math.cos((theta + 2.0 * i * math.pi) / 3.0) + f
                          for i in (1, 2, 3))
@@ -90,31 +102,37 @@ def closed_form_lambdas(n: int, s: int) -> tuple[float, ...]:
 
     The list holds the branches with kappa > 0 (one per +/- pair), except
     for n = 0 whose single entry is the zero-coupling lambda = 0.  For
-    n >= 7 the catalog order is not descending in lambda.
+    n >= 7 the catalog order is not descending in lambda.  A lambda or a
+    radicand beyond the double range raises ValueError.
     """
     n, s = _integer(n, "n", 0, MAX_CATALOG_DEGREE), _integer(s, "s")
     a = float(abs(s))
     if n == 0:
-        return (0.0,)
-    if n == 1:
-        return (1.0 + 2.0 * a,)
-    if n == 2:
-        return (6.0 + 8.0 * a,)
-    if n == 3:
+        lams = (0.0,)
+    elif n == 1:
+        lams = (1.0 + 2.0 * a,)
+    elif n == 2:
+        lams = (6.0 + 8.0 * a,)
+    elif n == 3:
         root = math.sqrt(73.0 + 128.0 * a + 64.0 * a * a)
-        return tuple(10.0 + 10.0 * a - (-1.0) ** j * root for j in (1, 2))
-    if n == 4:
+        lams = tuple(10.0 + 10.0 * a - (-1.0) ** j * root for j in (1, 2))
+    elif n == 4:
         root = 3.0 * math.sqrt(33.0 + 40.0 * a + 16.0 * a * a)
-        return tuple(25.0 + 20.0 * a + (-1.0) ** (j + 1) * root for j in (1, 2))
-    if n in (5, 6):
+        lams = tuple(25.0 + 20.0 * a + (-1.0) ** (j + 1) * root for j in (1, 2))
+    elif n in (5, 6):
         center, amplitude, theta = _aux_cubic(n, a)
-        return tuple(
+        lams = tuple(
             amplitude * math.cos((theta + 2.0 * (j - 1) * math.pi) / 3.0)
             + center
             for j in (1, 2, 3))
-    c, z = _aux_quartic(n, a)
-    r1, r2, r3 = (math.sqrt(zi) for zi in z)
-    return (c + r1 + r2 + r3, c + r1 - r2 - r3, c - r1 - r2 + r3, c - r1 + r2 - r3)
+    else:
+        c, z = _aux_quartic(n, a)
+        r1, r2, r3 = (math.sqrt(zi) for zi in z)
+        lams = (c + r1 + r2 + r3, c + r1 - r2 - r3, c - r1 - r2 + r3,
+                c - r1 + r2 - r3)
+    for lam in lams:
+        _in_range(lam, "closed-form lambda")
+    return lams
 
 
 def _coeff_tail(n: int, lam: float, sq: float, a: float) -> list[float]:
@@ -128,6 +146,10 @@ def _coeff_tail(n: int, lam: float, sq: float, a: float) -> list[float]:
     c7_den = c6_den * 7.0 * (7.0 + 2.0 * a)
     c8_den = 645120.0 * (1.0 + a) * (2.0 + a) * (3.0 + a) * (4.0 + a) \
         * (1.0 + 2.0 * a) * (3.0 + 2.0 * a) * (5.0 + 2.0 * a) * (7.0 + 2.0 * a)
+    # the tail of degree n divides by c2_den .. c{n}_den; an overflowed one
+    # would print its coefficient as 0
+    for den in (c2_den, c3_den, c4_den, c5_den, c6_den, c7_den, c8_den)[:n - 1]:
+        _in_range(den, "closed-form denominator")
     odd3 = (1.0 + 2.0 * a) * (3.0 + 2.0 * a) * (5.0 + 2.0 * a)
     tail: list[float] = []
 
@@ -203,7 +225,8 @@ def catalog_polynomial(n: int, s: int, j: int) -> Polynomial:
     j is the 1-based catalog branch index; branch count is 1 for n <= 2
     (the n = 0 entry being the constant of the zero-coupling branch) and
     grows to 4 at n = 7, 8.  Coefficients are stated for the kappa > 0
-    branch; the kappa < 0 mirror is its parity flip.
+    branch; the kappa < 0 mirror is its parity flip.  A lambda, a radicand
+    or a coefficient denominator beyond the double range raises ValueError.
     """
     n, s = _integer(n, "n", 0, MAX_CATALOG_DEGREE), _integer(s, "s")
     lams = closed_form_lambdas(n, s)

@@ -216,7 +216,6 @@ def _cmd_wavefunction(args) -> str:
     case = _CASES[args.case]
     n = _single(_parse_range(args.n, 0, MAX_DEGREE, "--n"), "--n")
     s = _single(_parse_range(args.s, -MAX_DEGREE, MAX_DEGREE, "--s"), "--s")
-    _derived_or_none(args, case)  # validated only: the profile is scaled
     if args.grid_points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
@@ -541,14 +540,13 @@ def _verify_table() -> list[_Row]:
 
 
 def run_verification(ns: list[int] | None = None, ss: list[int] | None = None,
-                     only: str | None = None,
-                     tol: float | None = None) -> list[Check]:
-    """Evaluate the declared rows, in order.
+                     only: str | None = None) -> list[Check]:
+    """Evaluate the declared rows, in order, each against its own
+    tolerance.
 
     ns and ss narrow each row's own sweeps (ss by |s|), and a row whose
     narrowed sweep visits no point is omitted; only selects a single
-    section; tol, when given, replaces every check's tolerance (direction
-    semantics unchanged).
+    section.
     """
     if ss is not None:
         ss = [abs(v) for v in ss]
@@ -562,7 +560,7 @@ def run_verification(ns: list[int] | None = None, ss: list[int] | None = None,
         name = row.name(rn, rs) if callable(row.name) else row.name.format(
             n=rn and _span("n", rn), s=rs and _span("|s|", rs))
         checks.append(Check(row.section, name, float(row.measure(rn, rs)),
-                            row.tol if tol is None else tol, row.direction))
+                            row.tol, row.direction))
     return checks
 
 
@@ -570,9 +568,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
     ns = None if args.n is None else _parse_range(args.n, 0, MAX_DEGREE, "--n")
     ss = None if args.s is None else _parse_range(args.s, -MAX_DEGREE,
                                                   MAX_DEGREE, "--s")
-    if args.tol is not None and not math.isfinite(args.tol):
-        raise _UsageError("--tol must be finite")
-    checks = run_verification(ns, ss, args.only, args.tol)
+    checks = run_verification(ns, ss, args.only)
     header = ["section", "name", "measured", "tolerance", "direction",
               "status"]
     rows = [{"section": c.section, "name": c.name, "measured": c.measured,
@@ -623,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--j", type=int, default=1, help="physical branch index")
     wf.add_argument("--grid-points", type=int, default=201)
     wf.add_argument("--r-max", type=float, default=10.0)
-    _add_params(wf)
     _add_output(wf)
 
     vf = sub.add_parser("verify", help="run the verification suite")
@@ -631,8 +626,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--s", default=None, help="restrict sweeps, int or a..b")
     vf.add_argument("--only", default=None, choices=list(dict.fromkeys(
         row.section for row in _verify_table())))
-    vf.add_argument("--tol", type=float, default=None,
-                    help="override every tolerance")
     _add_output(vf)
 
     ld = sub.add_parser("landau", help="center-of-mass Landau table")
@@ -644,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {"--n", "--s", "--j", "--e1", "--e2", "--m1", "--m2", "--B",
-                "--tol", "--r-max"}
+                "--r-max"}
 
 
 def _join_negatives(argv: list[str]) -> list[str]:

@@ -10,7 +10,8 @@ Every operator is a plain square numpy array: int64, except jzero, whose
 half-integer diagonal is float.  Every entry is exactly representable in
 float64, so all identity checks in this module are exact equalities.
 
-Labels n, N, s_abs >= 0 and dim >= 1 follow magpair._rules._integer.
+Labels n, N, s_abs >= 0 and dim >= 1 follow magpair._rules._integer.  The
+coupling builders also bound s_abs, see _bounded_s_abs.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ def commutator_check(n: int, N: int) -> CommutatorReport:
     return CommutatorReport(deviations=devs)
 
 
+def _bounded_s_abs(s_abs, top: int) -> int:
+    """s_abs by _rules._integer, at most the largest value with
+    top (top + 2 s_abs + 1) < 2**52, top the highest power of rho in the
+    space and its leading factor read as 1 at top = 0.  Below that bound
+    every entry of T and every term build_T_algebraic composes,
+    half-integers included, is exact in float64; just beyond it the
+    algebraic route rounds at odd top, and far beyond it int64 overflows."""
+    most = ((2**52 - 1) // max(top, 1) - top - 1) // 2
+    return _integer(s_abs, "s_abs", 0, most)
+
+
 def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     """Coupling operator by its monomial action:
 
@@ -100,10 +112,11 @@ def build_T_direct(n: int, s_abs: int, dim: int | None = None) -> np.ndarray:
     i.e. tridiagonal with zero diagonal, integer entries.  dim defaults to
     n + 1 (the invariant subspace).  A larger dim exposes the action beyond
     P_n for the particular-integral checks; the top column is truncated as
-    usual.
+    usual.  s_abs is bounded by _bounded_s_abs at the top power dim - 1.
     """
-    n, s_abs = _integer(n, "n", 0), _integer(s_abs, "s_abs", 0)
+    n = _integer(n, "n", 0)
     d = n + 1 if dim is None else _integer(dim, "dim", 1)
+    s_abs = _bounded_s_abs(s_abs, d - 1)
     sub = np.array([k - n for k in range(d - 1)], dtype=np.int64)
     sup = np.array([-k * (k + 2 * s_abs) for k in range(1, d)], dtype=np.int64)
     return np.diag(sub, -1) + np.diag(sup, 1)
@@ -118,9 +131,11 @@ def build_T_algebraic(n: int, s_abs: int) -> np.ndarray:
     result is exact; it is verified to be integer-valued and returned as
     int64.  Entrywise equality with build_T_direct is the dual-route check
     exercised by the test suite and the verify command; it is deliberately
-    not asserted here so the two constructions stay independent.
+    not asserted here so the two constructions stay independent.  s_abs
+    is bounded by _bounded_s_abs at the top power n.
     """
-    n, s_abs = _integer(n, "n", 0), _integer(s_abs, "s_abs", 0)
+    n = _integer(n, "n", 0)
+    s_abs = _bounded_s_abs(s_abs, n)
     jp = jplus(n).astype(float)
     j0 = jzero(n)
     jm = jminus(n).astype(float)

@@ -2,6 +2,7 @@
 n = 8 rho^7 inconsistency which must stay visible, not patched."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -137,3 +138,33 @@ def test_n7_catalog_order_is_not_monotone():
     assert list(lams) != sorted(lams, reverse=True)
     by_descending = tuple(int(i) + 1 for i in np.argsort(-np.asarray(lams)))
     assert by_descending == (1, 3, 4, 2)
+
+
+@pytest.mark.parametrize("n, k, fault", [
+    (7, 80, "radicand^1.5"),  # was NaN
+    (5, 120, "radicand^1.5"),  # was OverflowError from float **
+    (3, 160, "lambda"),  # was +/-inf
+])
+def test_closed_form_lambdas_beyond_the_double_range_are_refused(n, k, fault):
+    with pytest.raises(ValueError, match=f"closed-form {re.escape(fault)} "
+                                         "overflows in double precision"):
+        closed_form_lambdas(n, 10**k)
+
+
+def test_catalog_denominator_beyond_the_double_range_is_refused():
+    # the rho^8 denominator overflowed, and the coefficient printed as 0.0
+    with pytest.raises(ValueError, match="closed-form denominator overflows"):
+        catalog_polynomial(8, 10**38, 1)
+
+
+@pytest.mark.parametrize("n, k", [(7, 50), (5, 100), (3, 150)])
+def test_closed_form_lambdas_in_range_are_finite(n, k):
+    assert all(math.isfinite(lam) and lam > 0.0
+               for lam in closed_form_lambdas(n, 10**k))
+
+
+@pytest.mark.parametrize("k", [20, 37])
+def test_top_catalog_coefficient_in_range_keeps_its_value(k):
+    # the rho^8 coefficient of branch j = 1 tends to 0.0625 |s|^-4
+    top = catalog_polynomial(8, 10**k, 1).coeffs[8]
+    assert math.isclose(top, 0.0625 / 10.0 ** (4 * k), rel_tol=1e-12)

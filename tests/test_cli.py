@@ -1,6 +1,8 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -281,9 +283,7 @@ def test_non_normalizable_eigenvector_is_a_solver_failure(capsys):
 
 def test_non_finite_input_is_rejected(capsys):
     for argv in (("wavefunction", "--n", "2", "--r-max", "inf"),
-                 ("wavefunction", "--n", "2", "--r-max", "nan"),
-                 ("verify", "--only", "sl2", "--tol", "nan"),
-                 ("verify", "--only", "sl2", "--tol", "inf")):
+                 ("wavefunction", "--n", "2", "--r-max", "nan")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "finite" in err, argv
 
@@ -419,14 +419,41 @@ def test_verify_section_passes(capsys):
     assert rows and all(r[-1] == "pass" for r in rows)
 
 
-def test_verify_reports_failures(capsys):
-    code, out, _ = run(capsys, "verify", "--only", "catalog",
-                       "--tol", "1e-20")
+def test_verify_reports_failures(capsys, monkeypatch):
+    real = cli.compare_catalog_with_solver
+
+    def off(n, s):
+        # every lambda 1e-6 off, relative: the two lambda rows fail, while
+        # the coefficient rows and the >= canary read other fields
+        rep = real(n, s)
+        return dataclasses.replace(rep, branches=tuple(
+            dataclasses.replace(b, lam_rel_err=1e-6) for b in rep.branches))
+
+    monkeypatch.setattr(cli, "compare_catalog_with_solver", off)
+    code, out, _ = run(capsys, "verify", "--only", "catalog")
     assert code == 1
     _, rows = parse_csv(out)
     assert any(r[-1] == "FAIL" for r in rows)
-    # the >= canary keeps passing; only the <= checks break under 1e-20
     assert any(r[-1] == "pass" and r[4] == ">=" for r in rows)
+
+
+def test_flags_that_change_no_result_are_unrecognized(capsys):
+    # --tol replaced every declared tolerance by one number, and the
+    # wavefunction profile does not depend on the charge pair
+    for argv in (("verify", "--only", "sl2", "--tol", "1"),
+                 ("wavefunction", "--n", "3", "--e1", "1", "--e2", "1",
+                  "--m1", "1", "--m2", "1", "--B", "1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments" in err, argv
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    settable = {name: sum(1 for a in p._actions if a.dest != "help")
+                for name, p in sub.choices.items()}
+    assert settable == {"spectrum": 10, "wavefunction": 8, "verify": 5,
+                        "landau": 9}
 
 
 def test_verify_scoping_can_empty_a_section(capsys):

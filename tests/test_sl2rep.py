@@ -137,3 +137,20 @@ def test_validation():
         build_T_direct(2, -1)
     with pytest.raises(ValueError):
         build_T_direct(2, 0, dim=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_coupling_builders_refuse_s_abs_beyond_exact_entries(n):
+    # the largest s_abs with n (n + 2 s_abs + 1) < 2**52: both routes are
+    # exact there and agree with the integer formula -k (k + 2 s_abs)
+    most = ((2**52 - 1) // n - n - 1) // 2
+    assert n * (n + 2 * most + 1) < 2**52 <= n * (n + 2 * most + 3)
+    d, g = build_T_direct(n, most), build_T_algebraic(n, most)
+    assert np.array_equal(d, g)
+    assert int(d[n - 1, n]) == -n * (n + 2 * most)
+    # one beyond, the algebraic route rounds (odd n) and int64 later
+    # overflows, so both refuse, and so do far larger values
+    for build in (build_T_direct, build_T_algebraic):
+        for s_abs in (most + 1, 2**62, 10**20):
+            with pytest.raises(ValueError, match="s_abs must be at most"):
+                build(n, s_abs)
