@@ -107,19 +107,25 @@ def _jnum(x):
     return float(_fmt(float(x)))
 
 
-def _render(fmt: str, meta: dict, header: list[str], rows: list[dict],
+def _opt(x) -> str:
+    """A float cell that may be missing, as _fmt writes it."""
+    return "" if x is None else f"{x + 0.0:.15g}"
+
+
+def _render(fmt: str, meta: dict, header: list[str], rows: list[tuple],
             comments: tuple[str, ...] = ()) -> str:
-    """Serialize rows (dicts keyed by header) as CSV or JSON text."""
+    """Serialize rows, each a tuple of cells in header order, as CSV or
+    JSON text.  The CSV writer quotes a cell that needs it, such as a
+    verify name with commas."""
     if fmt == "json":
-        body = [{k: _jnum(r[k]) for k in header} for r in rows]
+        body = [{k: _jnum(v) for k, v in zip(header, r)} for r in rows]
         return json.dumps({"meta": meta, "rows": body}, indent=2) + "\n"
     buf = io.StringIO()
     for line in comments:
         buf.write(f"# {line}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for r in rows:
-        w.writerow([_fmt(r[k]) for k in header])
+    w.writerows([_fmt(v) for v in r] for r in rows)
     return buf.getvalue()
 
 
@@ -137,6 +143,23 @@ def _emit(text: str, out: str | None) -> None:
 
 # ------------------------------------------------------------------- parsing
 
+def _int_text(text: str) -> int:
+    """text as an int when it is an optional sign and ASCII digits, the one
+    rule for integer flags; else ValueError.  int() alone also takes '1_0',
+    non-ASCII digits and surrounding spaces."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)  # ValueError beyond int()'s digit limit
+
+
+def _int_flag(text: str, flag: str) -> int:
+    try:
+        return _int_text(text)
+    except ValueError:
+        raise _UsageError(f"{flag} expects an integer, got {text!r}") from None
+
+
 def _parse_range(text: str, lo: int, hi: int, flag: str) -> list[int]:
     """An integer or an inclusive a..b range, bounds checked before the
     list is built."""
@@ -144,7 +167,7 @@ def _parse_range(text: str, lo: int, hi: int, flag: str) -> list[int]:
     try:
         if len(parts) > 2:
             raise ValueError
-        a, b = int(parts[0]), int(parts[-1])
+        a, b = _int_text(parts[0]), _int_text(parts[-1])
         if b < a:
             raise ValueError
     except ValueError:
@@ -198,47 +221,55 @@ def _cmd_spectrum(args) -> str:
                     best = min(cf, key=lambda v: abs(p.lam - v))
                     if abs(p.lam - best) <= 1e-6 * max(1.0, abs(best)):
                         lam_cf, delta = best, p.lam - best
-                row = {"n": n, "s": s, "j": p.j, "lambda": p.lam,
-                       "kappa": p.kappa, "b": p.b, "energy": p.energy,
-                       "nodes": p.nodes, "physical": p.physical,
-                       "lambda_closed_form": lam_cf, "delta": delta}
+                row = (n, s, p.j, p.lam, p.kappa, p.b, p.energy, p.nodes,
+                       p.physical, lam_cf, delta)
                 if dp is not None:
-                    row["B"] = None if p.b is None else p.b * dp.B0
+                    row += (None if p.b is None else p.b * dp.B0,)
                 rows.append(row)
     meta = {"command": "spectrum", "case": case.value, "n": ns, "s": ss,
             "dimensionful": dp is not None}
     if dp is not None:
         meta["B0"] = _jnum(dp.B0)
-    return _render(args.format, meta, header, rows)
+    if args.format == "json":
+        return _render("json", meta, header, rows)
+    # the CSV body in one pass, each cell as _fmt writes it: ints plain,
+    # floats at %.15g with + 0.0 normalizing -0.0, None blank
+    body = "".join(
+        f"{n},{s},{j},{lam + 0.0:.15g},{kappa + 0.0:.15g},{_opt(b)},"
+        f"{energy + 0.0:.15g},{nodes},{'true' if physical else 'false'},"
+        f"{_opt(cf)},{_opt(delta)}{f',{_opt(B[0])}' if B else ''}\n"
+        for n, s, j, lam, kappa, b, energy, nodes, physical, cf, delta, *B
+        in rows)
+    return _render("csv", meta, header, []) + body
 
 
 def _cmd_wavefunction(args) -> str:
     case = _CASES[args.case]
     n = _single(_parse_range(args.n, 0, MAX_DEGREE, "--n"), "--n")
     s = _single(_parse_range(args.s, -MAX_DEGREE, MAX_DEGREE, "--s"), "--s")
-    if args.grid_points < 2:
+    j = _int_flag(args.j, "--j")
+    points = _int_flag(args.grid_points, "--grid-points")
+    if points < 2:
         raise _UsageError("--grid-points must be at least 2")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
         raise _UsageError("--r-max must be positive and finite")
     try:
-        grid = np.linspace(0.0, args.r_max, args.grid_points)
+        grid = np.linspace(0.0, args.r_max, points)
     except MemoryError:
         raise _UsageError(
-            f"--grid-points {args.grid_points} is too large to allocate") from None
+            f"--grid-points {points} is too large to allocate") from None
 
     match = [p for p in secular_spectrum(n, s, case)
-             if p.physical and p.j == args.j]
+             if p.physical and p.j == j]
     if not match:
-        raise _UsageError(
-            f"no physical branch j = {args.j} at n = {n}, s = {s}")
+        raise _UsageError(f"no physical branch j = {j} at n = {n}, s = {s}")
     zeta = assemble_wavefunction(eigenfunction(n, s, match[0]), grid)
 
-    meta = {"command": "wavefunction", "n": n, "s": s, "j": args.j,
+    meta = {"command": "wavefunction", "n": n, "s": s, "j": j,
             "lambda": _jnum(match[0].lam), "case": case.value}
     header = ["rho", "zeta"]
     if args.format == "json":
-        rows = [{"rho": r, "zeta": z}
-                for r, z in zip(grid.tolist(), zeta.tolist())]
+        rows = list(zip(grid.tolist(), zeta.tolist()))
         return _render("json", meta, header, rows)
     comments = tuple(f"{k}={_fmt(v)}" for k, v in meta.items()
                      if k != "command")
@@ -262,8 +293,7 @@ def _cmd_landau(args) -> str:
             with _refusals():
                 e_r, k2 = cm_energy(st, dp), pseudomomentum_sq(st, dp.q, dp.B)
                 residual = casimir_identity_check(st, dp)
-            rows.append({"N": N, "S": S, "E_R": e_r, "K2": k2,
-                         "casimir_residual": residual})
+            rows.append((N, S, e_r, k2, residual))
     meta = {"command": "landau", "N": Ns, "S": Ss,
             "omega_c": _jnum(dp.omega_c), "q": _jnum(dp.q),
             "B": _jnum(dp.B), "M": _jnum(dp.M)}
@@ -571,9 +601,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
     checks = run_verification(ns, ss, args.only)
     header = ["section", "name", "measured", "tolerance", "direction",
               "status"]
-    rows = [{"section": c.section, "name": c.name, "measured": c.measured,
-             "tolerance": c.tol, "direction": c.direction,
-             "status": "pass" if c.passed else "FAIL"} for c in checks]
+    rows = [(c.section, c.name, c.measured, c.tol, c.direction,
+             "pass" if c.passed else "FAIL") for c in checks]
     failed = sum(1 for c in checks if not c.passed)
     meta = {"command": "verify", "checks": len(checks), "failed": failed}
     return _render(args.format, meta, header, rows), failed == 0
@@ -616,8 +645,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_case(wf)
     wf.add_argument("--n", required=True, help="degree (single integer)")
     wf.add_argument("--s", default="0", help="angular momentum (single integer)")
-    wf.add_argument("--j", type=int, default=1, help="physical branch index")
-    wf.add_argument("--grid-points", type=int, default=201)
+    wf.add_argument("--j", default="1", help="physical branch index")
+    wf.add_argument("--grid-points", default="201")
     wf.add_argument("--r-max", type=float, default=10.0)
     _add_output(wf)
 

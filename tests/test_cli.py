@@ -129,6 +129,36 @@ def test_range_bounds_are_checked_before_the_list_is_built(capsys):
         assert code == 2 and f"--n value {bad} is outside" in err, text
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "1_0"),
+    ("spectrum", "--n", "\uff19"),  # a full-width 9
+    ("spectrum", "--n", "2", "--s", " -1"),
+    ("spectrum", "--n", "2", "--s", "-1.."),
+    ("landau", "--n", "0..1_0"),
+    ("verify", "--n", "3", "--s", "+-1"),
+    ("wavefunction", "--n", "3", "--j", "1_0"),
+    ("wavefunction", "--n", "3", "--j", " 1"),
+    ("wavefunction", "--n", "3", "--grid-points", "\uff15"),
+    ("wavefunction", "--n", "3", "--grid-points", "2e3"),
+])
+def test_integer_flags_take_a_sign_and_ascii_digits_only(capsys, argv):
+    # int() alone takes each of these
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("magpair: error: ") and err.count("\n") == 1
+
+
+def test_signed_integer_flags_still_parse(capsys):
+    code, out, _ = run(capsys, "spectrum", "--n", "+3", "--s", "-2..2")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert {r[0] for r in rows} == {"3"}
+    assert sorted({int(r[1]) for r in rows}) == [-2, -1, 0, 1, 2]
+    code, out, _ = run(capsys, "wavefunction", "--n", "+3", "--s", "-1",
+                       "--j", "+1", "--grid-points", "+3")
+    assert code == 0 and len(parse_csv(out)[1]) == 3
+
+
 def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum"])
@@ -317,7 +347,7 @@ _SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
 ])
 def test_wavefunction_csv_is_the_generic_table(capsys, monkeypatch, argv,
                                                synthetic):
-    # the one-pass CSV body must equal _render over one dict per row
+    # the one-pass CSV body must equal _render over the same tuple rows
     samples = []
     real = cli.assemble_wavefunction
 
@@ -336,8 +366,60 @@ def test_wavefunction_csv_is_the_generic_table(capsys, monkeypatch, argv,
     [(rho, zeta)] = samples
     comments = tuple(l[2:] for l in out.splitlines() if l.startswith("# "))
     assert len(comments) == 5
-    rows = [{"rho": r, "zeta": z} for r, z in zip(rho, zeta)]
+    rows = list(zip(rho, zeta))
     assert out == cli._render("csv", {}, ["rho", "zeta"], rows, comments)
+
+
+_UNIT_PARAMS = ("--e1", "1", "--e2", "1", "--m1", "1", "--m2", "1",
+                "--B", "1")
+
+
+def _special_spectrum(n, s, case, dp=None):
+    """Synthetic points: -0.0 in every float column (lambda -0.0 against
+    the closed form 0 at n = 0 also gives delta -0.0), numpy scalars, the
+    least subnormal, 1e300, and a missing b."""
+    z = -0.0
+    f = np.float64
+    return [
+        qes.SpectralPoint(n, s, 1, z, z, z, z, case, True, 0),
+        qes.SpectralPoint(n, s, 2, f(-1.0 / 3.0), f(5e-324), f(5e-324),
+                          f(-1e300), case, True, np.int64(1)),
+        qes.SpectralPoint(n, s, 3, 1e300, 1e300, None, 1e-5, case, False, 2),
+    ]
+
+
+@pytest.mark.parametrize("argv, synthetic", [
+    (("--n", "0..8", "--s", "-2..2"), False),
+    # the lambda = 0 row pins no field: its B is blank
+    (("--n", "2", "--s", "-1..1") + _UNIT_PARAMS, False),
+    # no closed form above n = 8: both closed-form cells are blank
+    (("--n", "9..12",), False),
+    (("--n", "64", "--s", "-64"), False),
+    (("--case", "q0", "--n", "64", "--s", "64"), False),
+    (("--n", "0", "--s", "-1..1") + _UNIT_PARAMS, True),
+])
+def test_spectrum_csv_is_the_generic_table(capsys, monkeypatch, argv,
+                                           synthetic):
+    # the one-pass CSV body must equal _render over the same tuple rows,
+    # the ones the JSON branch receives
+    if synthetic:
+        monkeypatch.setattr(cli, "secular_spectrum", _special_spectrum)
+    tables = []
+    real = cli._render
+
+    def spy(fmt, meta, header, rows, *rest):
+        tables.append((meta, header, rows))
+        return real(fmt, meta, header, rows, *rest)
+
+    monkeypatch.setattr(cli, "_render", spy)
+    code, _, err = run(capsys, "spectrum", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    [(meta, header, rows)] = tables
+    assert rows and all(type(r) is tuple and len(r) == len(header)
+                        for r in rows)
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 0 and err == ""
+    assert out == real("csv", meta, header, rows)
 
 
 def test_landau_default_table(capsys):
