@@ -259,14 +259,6 @@ class CatalogComparison:
     s: int
     branches: tuple[BranchComparison, ...]
 
-    @property
-    def max_lam_rel_err(self) -> float:
-        return max(b.lam_rel_err for b in self.branches)
-
-    @property
-    def max_coeff_abs_err(self) -> float:
-        return max(b.coeff_max_abs_err for b in self.branches)
-
 
 def compare_catalog_with_solver(n: int, s: int) -> CatalogComparison:
     """Match every catalog branch to the secular solver output.

@@ -83,21 +83,15 @@ def _refusals():
 # ---------------------------------------------------------------- formatting
 
 def _fmt(x) -> str:
-    """One value as text: 15 significant digits, blanks for missing."""
-    if type(x) is float:
+    """One value as text: floats (numpy float64 too) at 15 significant
+    digits, blanks for missing."""
+    if isinstance(x, float):
         return f"{x + 0.0:.15g}"  # + 0.0 normalizes -0.0
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.15g}"
+    return str(x)
 
 
 def _jnum(x):
@@ -368,7 +362,7 @@ def _verify_table() -> list[_Row]:
     module when they run, so a patched name is the one called.
     """
     EL, NU = CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL
-    sl2 = functools.cache(lambda: commutator_check(16, 18).deviations)
+    sl2 = functools.cache(lambda: commutator_check(16, 18))
     spectrum = functools.cache(
         lambda n, s, case: secular_spectrum(n, s, case))
     branches = functools.cache(
@@ -665,17 +659,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = {"--n", "--s", "--j", "--e1", "--e2", "--m1", "--m2", "--B",
-                "--r-max"}
-
-
 def _join_negatives(argv: list[str]) -> list[str]:
-    """Merge `--s -2..2` into `--s=-2..2` so argparse accepts the value."""
+    """Merge `--s -2..2` into `--s=-2..2` so argparse accepts the value.
+
+    Every magpair option but --help takes exactly one value, so a
+    dash-digit token after any other `--` option is its value.  `--` itself
+    and the abbreviations of --help that argparse expands are left alone."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) \
+        if tok[:2] == "--" and "=" not in tok \
+                and not "--help".startswith(tok) and i + 1 < len(argv) \
                 and argv[i + 1][:1] == "-" and len(argv[i + 1]) > 1 \
                 and argv[i + 1][1].isdigit():
             out.append(f"{tok}={argv[i + 1]}")

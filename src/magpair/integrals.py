@@ -63,13 +63,6 @@ class AnnihilationReport:
     max_abs_minus: int
     max_abs_plus: int
 
-    @property
-    def annihilating_sign(self) -> int:
-        """The convention that actually kills P_n (0 if neither or both)."""
-        if (self.max_abs_minus == 0) == (self.max_abs_plus == 0):
-            return 0
-        return -1 if self.max_abs_minus == 0 else 1
-
 
 def annihilation_check(n: int) -> AnnihilationReport:
     """Apply both sign conventions to the monomial basis of P_n.

@@ -26,17 +26,6 @@ class Polynomial:
             raise ValueError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", cs)
 
-    @property
-    def degree(self) -> int:
-        """Largest k with a nonzero coefficient (0 for the zero polynomial)."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0.0:
-                return k
-        return 0
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 def evaluate(p: Polynomial, x):
     """Horner-scheme value of p at x (scalar or ndarray)."""

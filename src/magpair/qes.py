@@ -106,15 +106,6 @@ class SpectralPoint:
     physical: bool
     nodes: int
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping; lam is serialized under the key "lambda"."""
-        return {
-            "n": self.n, "s": self.s, "j": self.j, "lambda": self.lam,
-            "kappa": self.kappa, "b": self.b, "energy": self.energy,
-            "case": self.case.value, "physical": self.physical,
-            "nodes": self.nodes,
-        }
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -314,8 +305,7 @@ def eigenfunction(n: int, s: int, point: SpectralPoint) -> EigenPair:
     if res > RESIDUAL_LIMIT:
         raise IllConditionedError(
             f"eigenvector residual {res:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-    poly = Polynomial(tuple(float(x) for x in c))
-    return EigenPair(point=point, polynomial=poly, residual=res)
+    return EigenPair(point=point, polynomial=Polynomial(c), residual=res)
 
 
 def field_quantization(point: SpectralPoint, dp: DerivedParams) -> tuple[float, float]:

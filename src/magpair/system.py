@@ -124,12 +124,6 @@ class DerivedParams:
     B0: float | None
     b: float | None
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping with the attribute names as keys."""
-        fields = ("e1", "e2", "B", "M", "mr", "mu1", "mu2", "q", "ec", "qw",
-                  "omega_c", "Omega_q", "omega_q", "B0", "b")
-        return {k: getattr(self, k) for k in fields}
-
     @cached_property
     def _case(self) -> CaseTag:
         # tested once per instance; dataclasses.replace builds a new one

@@ -159,6 +159,35 @@ def test_signed_integer_flags_still_parse(capsys):
     assert code == 0 and len(parse_csv(out)[1]) == 3
 
 
+def test_dash_leading_values_parse_after_any_option(capsys, monkeypatch,
+                                                    tmp_path):
+    # every option but --help takes one value, so a dash-digit token after
+    # any other option is its value, --out included
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "spectrum", "--n", "1", "--out", "-1.csv")
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / "-1.csv").read_text() == run(capsys, "spectrum",
+                                                    "--n", "1")[1]
+    # a joined value still meets its flag's own rule
+    code, out, err = run(capsys, "wavefunction", "--n", "3", "--r-max", "-1")
+    assert code == 2 and out == ""
+    assert err == "magpair: error: --r-max must be positive and finite\n"
+    # ... and reads as the same value written with "="
+    for argv in (("--s", "-2..2"),
+                 ("--e1", "-1e-3", "--e2", "-1e-3", "--m1", "1", "--m2", "1",
+                  "--B", "1")):
+        joined = [f"{k}={v}" for k, v in zip(argv[::2], argv[1::2])]
+        code, out, _ = run(capsys, "spectrum", "--n", "1", *argv)
+        assert code == 0
+        assert out == run(capsys, "spectrum", "--n", "1", *joined)[1]
+    # --help takes no value: it still prints help and exits 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--help", "-2"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: magpair spectrum")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["-1.csv"]
+
+
 def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum"])
@@ -202,7 +231,7 @@ def test_wavefunction_branch_guard(capsys):
 @example(math.nan)
 @example(-math.nan)
 def test_float_cells_format_like_numpy_scalars(x):
-    # a Python float takes the fast path; a numpy scalar the general one
+    # a numpy float64 is a float subclass and takes the same path
     assert cli._fmt(x) == cli._fmt(np.float64(x))
 
 

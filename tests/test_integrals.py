@@ -25,14 +25,12 @@ def test_minus_convention_annihilates():
         assert report.max_abs_minus == 0
         if n >= 1:
             assert report.max_abs_plus > 0
-            assert report.annihilating_sign == -1
 
 
 def test_degree_zero_conventions_coincide():
     # i_0 is the bare Euler operator under either sign, so both kill P_0
     report = annihilation_check(0)
     assert report.max_abs_minus == 0 and report.max_abs_plus == 0
-    assert report.annihilating_sign == 0
 
 
 def test_diagonal_entries_explicit():

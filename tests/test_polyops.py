@@ -26,21 +26,18 @@ def test_horner_matches_naive_sum(coeffs, x):
                                            rel=1e-9, abs=1e-6)
 
 
-def test_evaluate_vectorized_and_callable():
+def test_evaluate_vectorized_and_scalar():
     p = Polynomial((1.0, -2.0, 0.5))
     xs = np.linspace(-2.0, 2.0, 7)
     vals = evaluate(p, xs)
     assert vals.shape == xs.shape
-    assert vals[3] == p(0.0) == 1.0
-    assert isinstance(p(1.0), float)
+    assert vals[3] == evaluate(p, 0.0) == 1.0
+    assert isinstance(evaluate(p, 1.0), float)
 
 
-def test_constructor_and_degree():
+def test_constructor():
     with pytest.raises(ValueError):
         Polynomial(())
-    assert Polynomial((0.0,)).degree == 0
-    assert Polynomial((1.0, 0.0)).degree == 0  # trailing zero does not count
-    assert Polynomial((1.0, 0.0, 3.0)).degree == 2
     assert Polynomial((1, 2)).coeffs == (1.0, 2.0)  # coerced to float
 
 

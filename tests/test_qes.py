@@ -1,7 +1,6 @@
 """Secular solver: quantized couplings, eigenfunctions, fields, profiles."""
 
 import dataclasses
-import json
 import math
 import time
 
@@ -10,7 +9,7 @@ import pytest
 
 from magpair import qes
 from magpair.oracle import fd_kappa_spectrum, oracle_match
-from magpair.polyops import parity_flip
+from magpair.polyops import evaluate, parity_flip
 from magpair.qes import (
     MAX_DEGREE,
     SpectralPoint,
@@ -163,7 +162,8 @@ def test_eigenpairs_basic_shape():
         assert lams == sorted(lams, reverse=True)
         for p in pts:
             pair = eigenfunction(n, 1, p)
-            assert pair.polynomial.degree == n or n == 0
+            c = pair.polynomial.coeffs
+            assert len(c) == n + 1 and c[n] != 0.0
             assert pair.polynomial.coeffs[0] == 1.0
             assert pair.residual <= 1e-12
 
@@ -305,15 +305,14 @@ def test_spectrum_validations():
 
 def test_integral_n_and_s_of_any_type_give_python_ints(monkeypatch):
     # numpy integers and integral floats are accepted as n and s, and the
-    # points carry plain ints, so to_dict() stays JSON-ready
+    # points carry plain ints
     for n, s in ((np.int64(3), 1), (3, np.int64(-1)), (2.0, 0), (3, 1.0)):
         pts = secular_spectrum(n, s, EL)
         assert pts == secular_spectrum(int(n), int(s), EL)
         assert repr(pts) == repr(secular_spectrum(int(n), int(s), EL))
         for p in pts:
             assert type(p.n) is int and type(p.nodes) is int
-            assert type(p.s) is int
-            json.dumps(p.to_dict())
+            assert type(p.s) is int and type(p.j) is int
     # ... and by eigenfunction, whose cached solve is keyed by plain ints
     keys, real = [], qes.build_T_direct
     monkeypatch.setattr(qes, "build_T_direct", lambda n, a: keys.append(
@@ -390,13 +389,6 @@ def test_field_quantization_zero_branch():
         field_quantization(physical(2, 0)[0], dpn)
 
 
-def test_point_serialization():
-    p = physical(2, 0)[0]
-    d = p.to_dict()
-    assert d["lambda"] == p.lam and d["case"] == "EqualLarmor"
-    assert d["physical"] is True and d["j"] == 1
-
-
 # ----------------------------------------------------------------- profiles
 
 def test_wavefunction_profile_matches_formula():
@@ -404,7 +396,7 @@ def test_wavefunction_profile_matches_formula():
     grid = np.linspace(0.0, 6.0, 13)
     zeta = assemble_wavefunction(pair, grid)
     want = (np.exp(-grid ** 2 / 4.0) * grid
-            * np.asarray([pair.polynomial(x) for x in grid]))
+            * evaluate(pair.polynomial, grid))
     assert zeta.shape == grid.shape
     assert np.allclose(zeta, want, rtol=1e-14, atol=1e-300)
 

@@ -104,7 +104,7 @@ def test_hand_built_parameters_classify_as_derived():
                  ChargePair(-1.0, 1.0, 1.0, 3.0, 2.0),
                  ChargePair(2.0, 2.0, 1.0, 3.0, 1.0)):
         dp = derive(pair)
-        built = DerivedParams(**dp.to_dict())
+        built = DerivedParams(**dataclasses.asdict(dp))
         assert classify(built) is classify(dp)
         assert classify(built) is classify(built)
 
@@ -130,9 +130,10 @@ def test_rejections():
         ChargePair(math.nan, 1.0, 1.0, 1.0, 1.0)
 
 
-def test_to_dict_roundtrip():
+def test_derived_fields_roundtrip():
     dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 1.0))
-    d = dp.to_dict()
+    d = dataclasses.asdict(dp)
+    assert DerivedParams(**d) == dp
     assert d["B0"] == 2.0 and d["b"] == 0.5 and d["Omega_q"] is None
     assert list(d) == ["e1", "e2", "B", "M", "mr", "mu1", "mu2", "q", "ec",
                       "qw", "omega_c", "Omega_q", "omega_q", "B0", "b"]
