@@ -47,6 +47,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,10 +200,20 @@ def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
 @functools.lru_cache(maxsize=16)
 def _start(m: int) -> np.ndarray:
     """The fixed pseudo-random unit vector every inverse iteration starts
-    from, so each solve is reproducible bit for bit.  Seeding RandomState
-    costs about as much as a 3001-point vector pass, so the read-only
-    vector is built once per length and process."""
-    start = np.random.RandomState(0).uniform(-1.0, 1.0, m)
+    from, so each solve is reproducible bit for bit.
+
+    Its entries are bit for bit numpy's RandomState(0).uniform(-1.0, 1.0, m):
+    the standard library's random.Random runs the same MT19937 generator
+    and 53-bit doubles, loaded here with the state that RandomState(0)
+    seeds (init_genrand(0)).  That keeps numpy.random, 8 to 20 ms of
+    imports, off the first solve.  The read-only vector is built once per
+    length and process."""
+    mt = [0]
+    for i in range(1, 624):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    rng = random.Random()
+    rng.setstate((3, (*mt, 624), None))
+    start = np.array([rng.random() for _ in range(m)]) * 2.0 - 1.0
     start /= np.linalg.norm(start)
     start.flags.writeable = False
     return start

@@ -308,8 +308,9 @@ assert "scipy.linalg" not in sys.modules, "the oracle imported scipy.linalg"
 
 
 def test_spectrum_wavefunction_and_landau_never_import_scipy():
-    # a fresh CLI process spends about 0.06 s starting the interpreter,
-    # 0.15 s importing numpy and 0.05 s importing magpair.cli.  The oracle
+    # a fresh CLI process spends about 0.03 s starting the interpreter,
+    # 0.05 s importing numpy (with OpenBLAS at magpair's one thread; 0.09 s
+    # unpinned) and 0.04 s importing the rest of magpair.cli.  The oracle
     # loads only scipy's LAPACK extension, in about 4 ms; the scipy.linalg
     # package would add 0.22 to 0.29 s, and nothing else needs scipy
     src = str(Path(magpair.__file__).resolve().parents[1])

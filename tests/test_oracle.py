@@ -311,6 +311,17 @@ def test_top_block_is_reproducible_bit_for_bit():
         == w1.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 15, 799, 2999, 12001])
+def test_start_vector_is_numpys_random_state_zero_bit_for_bit(m):
+    # built from the standard library's MT19937, so the first solve needs
+    # no numpy.random; the entries are RandomState(0)'s before the scaling
+    expected = np.random.RandomState(0).uniform(-1.0, 1.0, m)
+    expected /= np.linalg.norm(expected)
+    start = oracle._start.__wrapped__(m)
+    assert start.tobytes() == expected.tobytes()
+    assert not start.flags.writeable
+
+
 def test_cached_couplings_equal_a_fresh_solve_byte_for_byte():
     for n, s, p in ((0, 0, 801), (3, 2, 1601), (6, 4, 3201)):
         grid = default_grid(n, s, p)
