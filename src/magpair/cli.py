@@ -4,12 +4,14 @@ verification suite, and center-of-mass Landau tables.
 Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including
-an `--out` path that cannot be written, and parameters whose numbers leave
-the double range), 3 solver failure (ill-conditioned eigenvector).
+an `--out` path that cannot be written, a wavefunction grid whose step is
+below the smallest normal double, and parameters whose numbers leave the
+double range), 3 solver failure (ill-conditioned eigenvector).
 
-`main` may be called repeatedly in one process; every call shares one
-argument parser, built on the first call.  `magpair verify` prints the rows
-declared in _verify_table.
+`main` may be called repeatedly in one process; every call shares one set
+of argument parsers, built on the first call, and a command's own parser
+reads the arguments after it, so each argument is parsed once (see
+_parse).  `magpair verify` prints the rows declared in _verify_table.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import _in_range
 from .catalog import (
     catalog_polynomial,
     closed_form_lambdas,
@@ -247,6 +250,14 @@ def _cmd_wavefunction(args) -> str:
         raise _UsageError("--grid-points must be at least 2")
     if not (math.isfinite(args.r_max) and args.r_max > 0.0):
         raise _UsageError("--r-max must be positive and finite")
+    try:
+        step = args.r_max / (points - 1)
+    except OverflowError:  # points - 1 beyond the double range
+        step = 0.0
+    # a subnormal grid is not the one asked for: its points lose digits
+    with _refusals():
+        _in_range(args.r_max, "--r-max", nonzero=True)
+        _in_range(step, "--r-max / (--grid-points - 1)", nonzero=True)
     try:
         grid = np.linspace(0.0, args.r_max, points)
     except MemoryError:
@@ -620,6 +631,11 @@ def _add_output(p):
     p.add_argument("--out", default=None, help="write to file instead of stdout")
 
 
+#: Each command's own parser by name, the ones _build_parser() holds;
+#: filled when it builds them.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -656,6 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ld.add_argument("--s", default="-3..3", help="S range, int or a..b")
     _add_params(ld)
     _add_output(ld)
+    _COMMANDS.update(sub.choices)
     return ap
 
 
@@ -681,9 +698,27 @@ def _join_negatives(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as _build_parser() parses it, with one pass of argparse.
+
+    The full parser hands everything after the command to the command's
+    own parser, and so reads every argument twice.  When argv[0] names a
+    command, its parser alone reads the rest; a leftover argument is
+    reported by the full parser, in its words, as its parse_args would.
+    """
+    ap = _build_parser()
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:  # no command, -h, or an unknown command
+        return ap.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        ap.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_join_negatives(argv))
+    args = _parse(_join_negatives(sys.argv[1:] if argv is None else list(argv)))
     ok = True
     try:
         if args.command == "spectrum":

@@ -43,6 +43,12 @@ is nonzero), so no root sits at the origin.
 The rank also fixes the eigenvector: the symmetric eigensolve returns
 ascending mu = -kappa, so the branch with k nodes is its column k.
 
+Each sector is solved once per process: its couplings for the 1024 most
+recent sectors, its vectors for the 128 most recent.  secular_spectrum
+without dp also keeps its points, keyed by the checked (n, s, case), for
+the 512 most recent keys; with dp (derived parameters) the points are
+built on every call.
+
 The case rule and the check that dp fits a case live in magpair.system.
 """
 
@@ -202,6 +208,12 @@ def _branch_order(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _require_solvable(case) -> None:
+    """case is one of the two solvable tags, else ValueError."""
+    if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
+        raise ValueError("QES branches exist only for EqualLarmor and Neutral")
+
+
 def dimensionless_energy(n: int, s: int, case: CaseTag,
                          dp: DerivedParams | None = None) -> float:
     """Energy of the branch family at fixed (n, s).
@@ -219,8 +231,7 @@ def dimensionless_energy(n: int, s: int, case: CaseTag,
     beyond the double range raises ValueError.
     """
     n, s = _integer(n, "n", 0), _integer(s, "s")
-    if case not in (CaseTag.EQUAL_LARMOR, CaseTag.NEUTRAL):
-        raise ValueError("QES branches exist only for EqualLarmor and Neutral")
+    _require_solvable(case)
     if dp is not None:
         _require_case(dp, case)
     a = abs(s)
@@ -250,8 +261,34 @@ def secular_spectrum(n: int, s: int, case: CaseTag,
     exact +/- pairs, so the two physical cases quantize to bitwise
     identical fields b.  case and dp are checked by dimensionless_energy;
     dp makes the energies dimensionful.
+
+    Without dp the points depend on (n, s, case) alone, so they are built
+    once per checked key and kept for the 512 most recent keys (see
+    _unit_points); each call gets a new list of them, and a refused input
+    never becomes a key.  With dp they are built on every call.
     """
     n, s = _integer(n, "n", 0, MAX_DEGREE), _integer(s, "s")
+    if dp is None:
+        _require_solvable(case)  # a refused case never becomes a key
+        return list(_unit_points(n, s, case))
+    return _build_points(n, s, case, dp)
+
+
+@functools.lru_cache(maxsize=512)
+def _unit_points(n: int, s: int, case: CaseTag) -> tuple[SpectralPoint, ...]:
+    """The points of secular_spectrum(n, s, case) without dp, for checked
+    arguments only.
+
+    512 entries hold the largest working set that repeats: an n <= 12,
+    |s| <= 7 spectrum table over both cases visits 13 x 15 x 2 = 390 keys,
+    and a cache smaller than a cyclic working set never hits.
+    """
+    return tuple(_build_points(n, s, case, None))
+
+
+def _build_points(n: int, s: int, case: CaseTag,
+                  dp: DerivedParams | None) -> list[SpectralPoint]:
+    """The points of secular_spectrum, built from the sector's couplings."""
     energy = dimensionless_energy(n, s, case, dp)
     kappas = _sector_couplings(n, abs(s)).tolist()
     equal_larmor = case is CaseTag.EQUAL_LARMOR

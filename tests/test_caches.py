@@ -12,6 +12,7 @@ import numpy as np
 
 import magpair
 from magpair.oracle import default_grid
+from magpair.system import CaseTag
 
 #: A small argument tuple for every cached function, by qualified name.
 ARGUMENTS = {
@@ -22,6 +23,7 @@ ARGUMENTS = {
     "qes._branch_order": (3,),
     "qes._sector_couplings": (3, 2),
     "qes._sector_vectors": (3, 2),
+    "qes._unit_points": (3, 2, CaseTag.EQUAL_LARMOR),
 }
 
 

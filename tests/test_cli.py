@@ -262,6 +262,7 @@ def test_spectrum_solves_each_sector_once(capsys, monkeypatch):
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda *a, **kw: calls.append(
         kw.get("eigvals_only", False)) or real(*a, **kw))
     qes._sector_couplings.cache_clear()
+    qes._unit_points.cache_clear()
     qes._sector_vectors.cache_clear()
     code, _, _ = run(capsys, "spectrum", "--n", "6", "--s", "1")
     assert code == 0 and calls == [True]
@@ -346,6 +347,30 @@ def test_non_finite_input_is_rejected(capsys):
                  ("wavefunction", "--n", "2", "--r-max", "nan")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "finite" in err, argv
+
+
+def test_wavefunction_refuses_a_subnormal_grid(capsys):
+    # a subnormal --r-max or step would print a grid that is not the input
+    tiny = sys.float_info.min
+    for r_max, points, what in (
+            ("1e-310", "3", "--r-max"),
+            (repr(tiny / 2), "2", "--r-max"),
+            (repr(tiny), "3", "--r-max / (--grid-points - 1)"),
+            ("1e-300", str(10 ** 10), "--r-max / (--grid-points - 1)"),
+            ("1", str(10 ** 400), "--r-max / (--grid-points - 1)")):
+        code, out, err = run(capsys, "wavefunction", "--n", "2",
+                             "--r-max", r_max, "--grid-points", points)
+        assert code == 2 and out == "", r_max
+        assert err.startswith(f"magpair: error: {what} underflows")
+    # the smallest normal step still samples the grid it was asked for
+    for r_max, points in (("1e-300", "3"), (repr(tiny), "2"),
+                          (repr(2 * tiny), "3")):
+        code, out, err = run(capsys, "wavefunction", "--n", "2",
+                             "--r-max", r_max, "--grid-points", points)
+        assert code == 0 and err == ""
+        step = float(r_max) / (int(points) - 1)
+        assert [r[0] for r in parse_csv(out)[1]][1:] == [
+            f"{k * step:.15g}" for k in range(1, int(points))]
 
 
 def test_wavefunction_far_grid_is_zero_not_nan(capsys):

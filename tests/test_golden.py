@@ -70,3 +70,48 @@ def test_repeated_calls_share_one_stateless_parser(capsysbinary, tmp_path):
         assert code == 0 and err == b"", name
         assert out == (GOLDEN / f"{name}.out").read_bytes(), name
     assert (tmp_path / "v.csv").exists()
+
+
+# Every golden call and detour, help, each kind of argparse refusal, and
+# the argv that only the full parser reads: no command, -h, a bad command.
+PARSES = [*CASES.values(), *DETOURS,
+          ["spectrum", "--help"],
+          ["spectrum", "--s", "1"],
+          ["spectrum", "--n", "1", "--case", "bogus"],
+          ["verify", "--tol", "1"],
+          ["wavefunction", "--n", "3", "--r-max", "x"],
+          ["landau", "--n", "1", "extra"],
+          [], ["-h"], ["bogus"]]
+
+
+def _outcome(parse, argv, capsysbinary):
+    """The namespace parse returns, or its exit code, with what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsysbinary.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=lambda a: " ".join(a) or "-")
+def test_one_parse_equals_the_full_parser(argv, capsysbinary):
+    argv = cli._join_negatives(argv)
+    full = _outcome(cli._build_parser().parse_args, argv, capsysbinary)
+    one = _outcome(cli._parse, argv, capsysbinary)
+    assert one == full
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch):
+    ap = cli._build_parser()
+    calls = []
+    for name, parser in [("magpair", ap), *cli._COMMANDS.items()]:
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *a, name=name, real=parser.parse_known_args:
+                            calls.append(name) or real(*a))
+    for argv in CASES.values():
+        cli._parse(cli._join_negatives(argv))
+    assert calls == [argv[0] for argv in CASES.values()]
+    cli._parse(["verify", "--only", "sl2"])
+    with pytest.raises(SystemExit):
+        cli._parse(["bogus"])
+    assert calls[-2:] == ["verify", "magpair"]

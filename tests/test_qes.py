@@ -104,6 +104,7 @@ def test_couplings_are_solved_once_per_sector(monkeypatch):
     monkeypatch.setattr(qes, "eigh_tridiagonal", lambda d, e, **kw: calls.append(
         (len(d), kw.get("eigvals_only", False))) or real(d, e, **kw))
     qes._sector_couplings.cache_clear()
+    qes._unit_points.cache_clear()
     sweep = [(n, s, case) for n in (1, 8, 64) for s in (-3, 3)
              for case in (EL, NU)]
     first = [secular_spectrum(*key) for key in sweep]
@@ -114,6 +115,37 @@ def test_couplings_are_solved_once_per_sector(monkeypatch):
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0] = 1.0
+
+
+def test_points_without_dp_are_built_once_per_checked_key():
+    qes._unit_points.cache_clear()
+    first = secular_spectrum(5, -2, NU)
+    # a caller's edit of its list reaches no later call
+    first.reverse()
+    first.append(None)
+    again = secular_spectrum(5, -2, NU)
+    assert again == list(qes._unit_points.__wrapped__(5, -2, NU))
+    assert again == _sorted_spectrum(5, -2, NU)
+    # the same points from one key, whatever integral types named it
+    for n, s in ((np.int64(5), -2), (5.0, np.int64(-2)), (5, -2.0)):
+        assert all(p is q for p, q in zip(secular_spectrum(n, s, NU), again))
+    assert qes._unit_points.cache_info().currsize == 1
+    # a refused input raises on every call and never becomes a key
+    for args in ((True, 0, EL), (2, 0.5, EL), (2, 0, CaseTag.GENERIC),
+                 (2, 0, []), (2, 0, "EqualLarmor")):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                secular_spectrum(*args)
+    assert qes._unit_points.cache_info().currsize == 1
+
+
+def test_points_with_dp_are_built_on_every_call():
+    dp = derive(ChargePair(1.0, 1.0, 1.0, 1.0, 2.0))
+    qes._unit_points.cache_clear()
+    first, again = secular_spectrum(3, 1, EL, dp), secular_spectrum(3, 1, EL, dp)
+    assert first == again and not any(p is q for p, q in zip(first, again))
+    assert qes._unit_points.cache_info().currsize == 0
+    assert first != secular_spectrum(3, 1, EL)
 
 
 # ------------------------------------------------------------ closed kappas
