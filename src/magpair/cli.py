@@ -9,9 +9,11 @@ below the smallest normal double, and parameters whose numbers leave the
 double range), 3 solver failure (ill-conditioned eigenvector).
 
 `main` may be called repeatedly in one process; every call shares one set
-of argument parsers, built on the first call, and a command's own parser
-reads the arguments after it, so each argument is parsed once (see
-_parse).  `magpair verify` prints the rows declared in _verify_table.
+of argument parsers, built on the first call.  A plain command line is
+read from their option table without argparse, and any other by argparse,
+the command's own parser reading the arguments after it, so each argument
+is read once (see _parse).  `magpair verify` prints the rows declared in
+_verify_table.
 """
 
 from __future__ import annotations
@@ -196,16 +198,16 @@ def _derived_or_none(args, case: CaseTag):
 
 # ------------------------------------------------------------------ commands
 
+_SPECTRUM_HEADER = ("n", "s", "j", "lambda", "kappa", "b", "energy", "nodes",
+                    "physical", "lambda_closed_form", "delta")
+
+
 def _cmd_spectrum(args) -> str:
     case = _CASES[args.case]
     ns = _parse_range(args.n, 0, MAX_DEGREE, "--n")
     ss = _parse_range(args.s, -MAX_DEGREE, MAX_DEGREE, "--s")
     dp = _derived_or_none(args, case)
 
-    header = ["n", "s", "j", "lambda", "kappa", "b", "energy", "nodes",
-              "physical", "lambda_closed_form", "delta"]
-    if dp is not None:
-        header.append("B")
     rows = []
     for n in ns:
         for s in ss:
@@ -223,11 +225,12 @@ def _cmd_spectrum(args) -> str:
                 if dp is not None:
                     row += (None if p.b is None else p.b * dp.B0,)
                 rows.append(row)
-    meta = {"command": "spectrum", "case": case.value, "n": ns, "s": ss,
-            "dimensionful": dp is not None}
-    if dp is not None:
-        meta["B0"] = _jnum(dp.B0)
+    header = _SPECTRUM_HEADER if dp is None else _SPECTRUM_HEADER + ("B",)
     if args.format == "json":
+        meta = {"command": "spectrum", "case": case.value, "n": ns, "s": ss,
+                "dimensionful": dp is not None}
+        if dp is not None:
+            meta["B0"] = _jnum(dp.B0)
         return _render("json", meta, header, rows)
     # the CSV body in one pass, each cell as _fmt writes it: ints plain,
     # floats at %.15g with + 0.0 normalizing -0.0, None blank
@@ -237,7 +240,8 @@ def _cmd_spectrum(args) -> str:
         f"{_opt(cf)},{_opt(delta)}{f',{_opt(B[0])}' if B else ''}\n"
         for n, s, j, lam, kappa, b, energy, nodes, physical, cf, delta, *B
         in rows)
-    return _render("csv", meta, header, []) + body
+    # no column name needs quoting, so the header line is a plain join
+    return ",".join(header) + "\n" + body
 
 
 def _cmd_wavefunction(args) -> str:
@@ -260,7 +264,7 @@ def _cmd_wavefunction(args) -> str:
         _in_range(step, "--r-max / (--grid-points - 1)", nonzero=True)
     try:
         grid = np.linspace(0.0, args.r_max, points)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
         raise _UsageError(
             f"--grid-points {points} is too large to allocate") from None
 
@@ -698,22 +702,83 @@ def _join_negatives(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as _build_parser() parses it, with one pass of argparse.
+@functools.cache
+def _options(command: str):
+    """command's one-value options by exact option string, with their
+    defaults and the dests it requires, read off its parser in
+    _build_parser().  No str default has a type to run it through."""
+    _build_parser()  # fills _COMMANDS
+    actions = [a for a in _COMMANDS[command]._actions if a.nargs is None]
+    return ({o: a for a in actions for o in a.option_strings},
+            {a.dest: a.default for a in actions},
+            {a.dest for a in actions if a.required})
 
-    The full parser hands everything after the command to the command's
-    own parser, and so reads every argument twice.  When argv[0] names a
-    command, its parser alone reads the rest; a leftover argument is
-    reported by the full parser, in its words, as its parse_args would.
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain command line, or None to leave it to
+    argparse.
+
+    Plain is a command followed by exact option strings, each with one
+    value (`--opt value`, the value not starting with "-", or
+    `--opt=value`), that its type and choices accept, and every required
+    option present; a repeated option keeps its last value.  argparse
+    gives such a line the same namespace, so only help and usage errors
+    need it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table, defaults, required = _options(argv[0])
+    values = dict(defaults)
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        opt, eq, value = argv[i].partition("=")
+        action = table.get(opt)
+        if action is None:
+            return None
+        if not eq:
+            i += 1
+            if i == end or argv[i][:1] == "-":
+                return None
+            value = argv[i]
+        elif value == "--":  # argparse drops it and stores []
+            return None
+        i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as _build_parser() parses it, in one pass.
+
+    A plain command line is read by _read_plain without argparse.  Any
+    other goes to argparse, which prints help and every usage error: when
+    argv[0] names a command, its own parser alone reads the rest, since
+    the full parser would hand them to it and so read every argument
+    twice; a leftover argument is reported by the full parser, in its
+    words, as its parse_args would.
     """
     ap = _build_parser()
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     sub = _COMMANDS.get(argv[0]) if argv else None
     if sub is None:  # no command, -h, or an unknown command
         return ap.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
+    args, extras = sub.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         ap.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
     return args
 
 

@@ -239,12 +239,17 @@ def test_negative_zero_cell_prints_as_zero():
     assert cli._fmt(-0.0) == cli._fmt(np.float64(-0.0)) == "0"
 
 
-def test_wavefunction_refuses_a_grid_too_large_to_allocate(capsys):
-    # numpy refuses the 745 GiB grid before allocating any of it
-    code, out, err = run(capsys, "wavefunction", "--n", "3",
-                         "--grid-points", "100000000000")
+@pytest.mark.parametrize("argv", [
+    # numpy refuses the 745 GiB grid (MemoryError) before allocating any
+    # of it, and 1e20 points (ValueError) as beyond its size limit
+    ("--n", "3", "--grid-points", "100000000000"),
+    ("--n", "2", "--r-max", "1e300", "--grid-points", str(10 ** 20)),
+])
+def test_wavefunction_refuses_a_grid_too_large_to_allocate(capsys, argv):
+    code, out, err = run(capsys, "wavefunction", *argv)
     assert code == 2 and out == ""
-    assert err.startswith("magpair: error: --grid-points") and err.count("\n") == 1
+    assert err == (f"magpair: error: --grid-points {argv[-1]} is too large "
+                   "to allocate\n")
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):

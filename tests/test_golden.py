@@ -6,9 +6,13 @@ To accept an intended change, regenerate the file from `cli.main` and
 say why in the change log.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpair import cli
 
@@ -72,46 +76,121 @@ def test_repeated_calls_share_one_stateless_parser(capsysbinary, tmp_path):
     assert (tmp_path / "v.csv").exists()
 
 
-# Every golden call and detour, help, each kind of argparse refusal, and
-# the argv that only the full parser reads: no command, -h, a bad command.
+# Every golden call and detour, help, each kind of argparse refusal, the
+# argv that only the full parser reads (no command, -h, a bad command), and
+# the edges of a plain command line: an abbreviation, a repeated option, an
+# empty or `--` value, a bad choice, float values argparse reads or refuses,
+# `--` alone and a value that starts with "-".
 PARSES = [*CASES.values(), *DETOURS,
           ["spectrum", "--help"],
+          ["wavefunction", "-h"],
           ["spectrum", "--s", "1"],
           ["spectrum", "--n", "1", "--case", "bogus"],
+          ["verify", "--only", "bogus"],
           ["verify", "--tol", "1"],
           ["wavefunction", "--n", "3", "--r-max", "x"],
+          ["wavefunction", "--n", "3", "--r-max", "nan"],
+          ["wavefunction", "--n", "3", "--r-max", "-inf"],
+          ["wavefunction", "--n", "3", "--r-max=-inf"],
+          ["landau", "--e1", "inf", "--B", " 1_0 "],
           ["landau", "--n", "1", "extra"],
+          ["spectrum", "--ca", "q0", "--n", "1"],
+          ["spectrum", "--n", "1", "--n", "2..3", "--case", "q0"],
+          ["spectrum", "--n=", "--out="],
+          ["spectrum", "--n", ""],
+          ["spectrum", "--n=--"],
+          ["spectrum", "--n", "1", "--"],
+          ["spectrum", "--", "--n", "1"],
+          ["spectrum", "--n", "-", "--s", "-x"],
+          ["spectrum", "--n"],
           [], ["-h"], ["bogus"]]
 
 
-def _outcome(parse, argv, capsysbinary):
-    """The namespace parse returns, or its exit code, with what it printed."""
-    try:
-        result = parse(argv)
-    except SystemExit as exc:
-        result = exc.code
-    return result, capsysbinary.readouterr()
+def _outcome(parse, argv):
+    """What parse makes of argv: the repr of its namespace (nan != nan),
+    or its exit code, with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_one_parse_equals_the_full_parser(argv):
+    argv = cli._join_negatives(argv)
+    full = _outcome(cli._build_parser().parse_args, argv)
+    assert _outcome(cli._parse, argv) == full
 
 
 @pytest.mark.parametrize("argv", PARSES, ids=lambda a: " ".join(a) or "-")
-def test_one_parse_equals_the_full_parser(argv, capsysbinary):
-    argv = cli._join_negatives(argv)
-    full = _outcome(cli._build_parser().parse_args, argv, capsysbinary)
-    one = _outcome(cli._parse, argv, capsysbinary)
-    assert one == full
+def test_one_parse_equals_the_full_parser(argv):
+    _assert_one_parse_equals_the_full_parser(argv)
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch):
-    ap = cli._build_parser()
+cli._build_parser()
+_TABLES = {name: cli._options(name)[0] for name in cli._COMMANDS}
+_TEXTS = ["1", "0..2", "-1", "-2..2", "+3", "", "x", "a=b", "--", "-", "-h",
+          "extra"]
+_FLOATS = ["1", "-2.5", " 1_0 ", "1e400", "nan", "inf", "-inf", "x", ""]
+
+
+def _values(action):
+    """Values an option may be given: its choices and two it refuses, or
+    text its type reads or refuses, some of which argparse takes only
+    after "=" (a leading "-")."""
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "bogus", ""])
+    return st.sampled_from(_FLOATS if action.type is float else _TEXTS)
+
+
+@st.composite
+def _argvs(draw):
+    """A command and up to six tokens from its options' vocabulary: an
+    exact or cut option string, with a value as the next token or after
+    "=", or alone; help, `--` or a stray positional."""
+    command = draw(st.sampled_from(sorted(_TABLES)))
+    table = _TABLES[command]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        opt = draw(st.sampled_from(sorted(table)))
+        value = draw(_values(table[opt]))
+        if draw(st.integers(0, 4)) == 0:
+            opt = opt[:draw(st.integers(2, len(opt)))]  # an abbreviation
+        form = draw(st.sampled_from(("pair", "pair", "eq", "eq", "alone")))
+        if form == "pair":
+            argv += [opt, value]
+        elif form == "eq":
+            argv.append(f"{opt}={value}")
+        else:
+            argv.append(draw(st.sampled_from(
+                (opt, "-h", "--help", "--", "extra", "--tol"))))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_one_parse_equals_the_full_parser_on_any_vocabulary(argv):
+    _assert_one_parse_equals_the_full_parser(argv)
+
+
+def test_each_argument_is_read_once(monkeypatch, capsys):
+    """A plain command line makes no argparse parse call, and any other
+    makes one: its command's own parser, or the full parser."""
     calls = []
-    for name, parser in [("magpair", ap), *cli._COMMANDS.items()]:
+    for name, parser in [("magpair", cli._build_parser()),
+                         *cli._COMMANDS.items()]:
         monkeypatch.setattr(parser, "parse_known_args",
                             lambda *a, name=name, real=parser.parse_known_args:
                             calls.append(name) or real(*a))
     for argv in CASES.values():
         cli._parse(cli._join_negatives(argv))
-    assert calls == [argv[0] for argv in CASES.values()]
-    cli._parse(["verify", "--only", "sl2"])
-    with pytest.raises(SystemExit):
-        cli._parse(["bogus"])
-    assert calls[-2:] == ["verify", "magpair"]
+    assert calls == []
+    for argv, parser in [(["spectrum", "--ca", "q0", "--n", "1"], "spectrum"),
+                         (["verify", "--only", "bogus"], "verify"),
+                         (["bogus"], "magpair")]:
+        calls.clear()
+        with contextlib.suppress(SystemExit):
+            cli._parse(argv)
+        assert calls == [parser], argv
