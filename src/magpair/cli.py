@@ -5,15 +5,15 @@ Output is deterministic: identical invocations produce byte-identical
 bytes (floats at 15 significant digits, stable orderings, no timestamps).
 Exit codes: 0 success, 1 verification failure, 2 invalid input (including
 an `--out` path that cannot be written, a wavefunction grid whose step is
-below the smallest normal double, and parameters whose numbers leave the
-double range), 3 solver failure (ill-conditioned eigenvector).
+below the smallest normal double, parameters whose numbers leave the
+double range, and an option given as `--opt=--`), 3 solver failure
+(ill-conditioned eigenvector).
 
 `main` may be called repeatedly in one process; every call shares one set
 of argument parsers, built on the first call.  A plain command line is
-read from their option table without argparse, and any other by argparse,
-the command's own parser reading the arguments after it, so each argument
-is read once (see _parse).  `magpair verify` prints the rows declared in
-_verify_table.
+read from their option table without argparse, and any other by the full
+argparse parser (see _parse).  `magpair verify` prints the rows declared
+in _verify_table.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ def _jnum(x):
     if x is None or isinstance(x, (str, bool, int)):
         return x
     return float(_fmt(float(x)))
-
-
-def _opt(x) -> str:
-    """A float cell that may be missing, as _fmt writes it."""
-    return "" if x is None else f"{x + 0.0:.15g}"
 
 
 def _render(fmt: str, meta: dict, header: list[str], rows: list[tuple],
@@ -235,9 +230,9 @@ def _cmd_spectrum(args) -> str:
     # the CSV body in one pass, each cell as _fmt writes it: ints plain,
     # floats at %.15g with + 0.0 normalizing -0.0, None blank
     body = "".join(
-        f"{n},{s},{j},{lam + 0.0:.15g},{kappa + 0.0:.15g},{_opt(b)},"
+        f"{n},{s},{j},{lam + 0.0:.15g},{kappa + 0.0:.15g},{_fmt(b)},"
         f"{energy + 0.0:.15g},{nodes},{'true' if physical else 'false'},"
-        f"{_opt(cf)},{_opt(delta)}{f',{_opt(B[0])}' if B else ''}\n"
+        f"{_fmt(cf)},{_fmt(delta)}{f',{_fmt(B[0])}' if B else ''}\n"
         for n, s, j, lam, kappa, b, energy, nodes, physical, cf, delta, *B
         in rows)
     # no column name needs quoting, so the header line is a plain join
@@ -635,9 +630,10 @@ def _add_output(p):
     p.add_argument("--out", default=None, help="write to file instead of stdout")
 
 
-#: Each command's own parser by name, the ones _build_parser() holds;
-#: filled when it builds them.
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+#: The plain reader's table by command, filled by _build_parser(): the
+#: command's one-value options by exact option string, their defaults,
+#: and the dests it requires.  No str default has a type to run it through.
+_PLAIN: dict[str, tuple[dict[str, argparse.Action], dict, set[str]]] = {}
 
 
 @functools.cache
@@ -676,42 +672,40 @@ def _build_parser() -> argparse.ArgumentParser:
     ld.add_argument("--s", default="-3..3", help="S range, int or a..b")
     _add_params(ld)
     _add_output(ld)
-    _COMMANDS.update(sub.choices)
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.nargs is None]
+        _PLAIN[name] = ({o: a for a in actions for o in a.option_strings},
+                        {a.dest: a.default for a in actions},
+                        {a.dest for a in actions if a.required})
     return ap
 
 
 def _join_negatives(argv: list[str]) -> list[str]:
-    """Merge `--s -2..2` into `--s=-2..2` so argparse accepts the value.
+    """Merge `--s -2..2` into `--s=-2..2` so argparse accepts the value,
+    and split `--n=--` into `--n --` so argparse refuses it.
 
     Every magpair option but --help takes exactly one value, so a
-    dash-digit token after any other `--` option is its value.  `--` itself
-    and the abbreviations of --help that argparse expands are left alone."""
+    dash-digit token after any other `--` option is its value, and `--`
+    is none: given after "=", argparse would drop it and store [].  `--`
+    itself and the abbreviations of --help that argparse expands are left
+    alone."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok[:2] == "--" and "=" not in tok \
-                and not "--help".startswith(tok) and i + 1 < len(argv) \
-                and argv[i + 1][:1] == "-" and len(argv[i + 1]) > 1 \
-                and argv[i + 1][1].isdigit():
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+        opt, eq, value = tok.partition("=")
+        if tok[:2] != "--" or "--help".startswith(opt):
+            out.append(tok)
+        elif value == "--":
+            out += [opt, "--"]
+        elif not eq and i + 1 < len(argv) and argv[i + 1][:1] == "-" \
+                and len(argv[i + 1]) > 1 and argv[i + 1][1].isdigit():
+            i += 1
+            out.append(f"{tok}={argv[i]}")
         else:
             out.append(tok)
-            i += 1
+        i += 1
     return out
-
-
-@functools.cache
-def _options(command: str):
-    """command's one-value options by exact option string, with their
-    defaults and the dests it requires, read off its parser in
-    _build_parser().  No str default has a type to run it through."""
-    _build_parser()  # fills _COMMANDS
-    actions = [a for a in _COMMANDS[command]._actions if a.nargs is None]
-    return ({o: a for a in actions for o in a.option_strings},
-            {a.dest: a.default for a in actions},
-            {a.dest for a in actions if a.required})
 
 
 def _read_plain(argv: list[str]) -> argparse.Namespace | None:
@@ -725,9 +719,9 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     gives such a line the same namespace, so only help and usage errors
     need it.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _PLAIN:
         return None
-    table, defaults, required = _options(argv[0])
+    table, defaults, required = _PLAIN[argv[0]]
     values = dict(defaults)
     seen = set()
     i, end = 1, len(argv)
@@ -741,8 +735,6 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
             if i == end or argv[i][:1] == "-":
                 return None
             value = argv[i]
-        elif value == "--":  # argparse drops it and stores []
-            return None
         i += 1
         if action.type is not None:
             try:
@@ -759,27 +751,15 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as _build_parser() parses it, in one pass.
+    """argv parsed as _build_parser() parses it.
 
-    A plain command line is read by _read_plain without argparse.  Any
-    other goes to argparse, which prints help and every usage error: when
-    argv[0] names a command, its own parser alone reads the rest, since
-    the full parser would hand them to it and so read every argument
-    twice; a leftover argument is reported by the full parser, in its
-    words, as its parse_args would.
+    A plain command line is read by _read_plain without argparse; any
+    other, such as help, an abbreviation or a usage error, by the full
+    parser, which prints help and every usage error in its own words.
     """
-    ap = _build_parser()
+    ap = _build_parser()  # fills _PLAIN before _read_plain reads it
     args = _read_plain(argv)
-    if args is not None:
-        return args
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    if sub is None:  # no command, -h, or an unknown command
-        return ap.parse_args(argv)
-    args, extras = sub.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        ap.error("unrecognized arguments: %s" % " ".join(extras))
-    return args
+    return ap.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

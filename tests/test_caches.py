@@ -17,7 +17,6 @@ from magpair.system import CaseTag
 #: A small argument tuple for every cached function, by qualified name.
 ARGUMENTS = {
     "cli._build_parser": (),
-    "cli._options": ("spectrum",),
     "oracle._fd_block": (2, 1, default_grid(2, 1, 401)),
     "oracle._lapack": (),
     "oracle._start": (32,),

@@ -195,6 +195,25 @@ def test_missing_required_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n=--"),
+    ("verify", "--n=--"),
+    ("wavefunction", "--n", "2", "--r-max=--"),
+    ("spectrum", "--n", "1", "--case=--"),
+    ("spectrum", "--n", "1", "--out=--"),
+    ("spectrum", "--n", "1", "--format=--"),
+])
+def test_an_option_given_as_equals_dashdash_has_no_value(capsys, argv):
+    # argparse drops an explicit `--` value and stores [], which no
+    # command reads; `--` after "=" is refused as after a space
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    opt = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: argument {opt}: expected one argument\n")
+
+
 def test_wavefunction_csv(capsys):
     code, out, _ = run(capsys, "wavefunction", "--case", "q0", "--n", "1",
                        "--grid-points", "5", "--r-max", "2")

@@ -8,6 +8,10 @@ say why in the change log.
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +103,11 @@ PARSES = [*CASES.values(), *DETOURS,
           ["spectrum", "--n=", "--out="],
           ["spectrum", "--n", ""],
           ["spectrum", "--n=--"],
+          ["verify", "--n=--"],
+          ["wavefunction", "--n", "2", "--r-max=--"],
+          ["spectrum", "--n", "1", "--case=--"],
+          ["spectrum", "--n", "1", "--out=--"],
+          ["spectrum", "--n", "1", "--format=--"],
           ["spectrum", "--n", "1", "--"],
           ["spectrum", "--", "--n", "1"],
           ["spectrum", "--n", "-", "--s", "-x"],
@@ -130,7 +139,7 @@ def test_one_parse_equals_the_full_parser(argv):
 
 
 cli._build_parser()
-_TABLES = {name: cli._options(name)[0] for name in cli._COMMANDS}
+_TABLES = {name: table for name, (table, _, _) in cli._PLAIN.items()}
 _TEXTS = ["1", "0..2", "-1", "-2..2", "+3", "", "x", "a=b", "--", "-", "-h",
           "extra"]
 _FLOATS = ["1", "-2.5", " 1_0 ", "1e400", "nan", "inf", "-inf", "x", ""]
@@ -175,22 +184,37 @@ def test_one_parse_equals_the_full_parser_on_any_vocabulary(argv):
     _assert_one_parse_equals_the_full_parser(argv)
 
 
-def test_each_argument_is_read_once(monkeypatch, capsys):
-    """A plain command line makes no argparse parse call, and any other
-    makes one: its command's own parser, or the full parser."""
+# Patches every argparse parse before magpair.cli is imported, then parses
+# each command line of argv[1] in order, the first in a fresh interpreter.
+_NO_PARSE_PROBE = """
+import argparse, json, sys
+calls = []
+real = argparse.ArgumentParser.parse_known_args
+argparse.ArgumentParser.parse_known_args = (
+    lambda self, *a, **k: calls.append(self.prog) or real(self, *a, **k))
+from magpair import cli
+for argv in json.loads(sys.argv[1]):
+    cli._parse(cli._join_negatives(argv))
+    assert calls == [], (argv, calls)
+"""
+
+
+def test_golden_calls_make_no_argparse_parse_call():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argvs = json.dumps(list(CASES.values()))
+    proc = subprocess.run([sys.executable, "-c", _NO_PARSE_PROBE, argvs],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--ca", "q0", "--n", "1"],
+                                  ["verify", "--only", "bogus"], ["bogus"]])
+def test_a_declined_line_is_read_by_the_full_parser(monkeypatch, capsys, argv):
+    ap = cli._build_parser()
     calls = []
-    for name, parser in [("magpair", cli._build_parser()),
-                         *cli._COMMANDS.items()]:
-        monkeypatch.setattr(parser, "parse_known_args",
-                            lambda *a, name=name, real=parser.parse_known_args:
-                            calls.append(name) or real(*a))
-    for argv in CASES.values():
-        cli._parse(cli._join_negatives(argv))
-    assert calls == []
-    for argv, parser in [(["spectrum", "--ca", "q0", "--n", "1"], "spectrum"),
-                         (["verify", "--only", "bogus"], "verify"),
-                         (["bogus"], "magpair")]:
-        calls.clear()
-        with contextlib.suppress(SystemExit):
-            cli._parse(argv)
-        assert calls == [parser], argv
+    monkeypatch.setattr(ap, "parse_args", lambda a, real=ap.parse_args:
+                        calls.append(a) or real(a))
+    with contextlib.suppress(SystemExit):
+        cli._parse(argv)
+    assert calls == [argv]
