@@ -1,7 +1,9 @@
 """Secular solver: quantized couplings, eigenfunctions, fields, profiles."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import time
 
 import numpy as np
@@ -398,8 +400,39 @@ def test_branch_order_equals_the_sorted_reference():
                     got = secular_spectrum(n, s, case, dp)
                     want = _sorted_spectrum(n, s, case, dp)
                     assert got == want, (n, s, case, dp)
+                    assert list(map(hash, got)) == list(map(hash, want))
                     if dp is None and s >= 0:
                         assert repr(got) == repr(want), (n, s, case)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 64])
+def test_built_points_keep_the_frozen_record_protocol(n):
+    # _build_points fills each point's instance dict instead of calling the
+    # generated __init__; a point from either path (cached without dp,
+    # built per call with dp) must behave as a constructor-built one
+    assert not hasattr(SpectralPoint, "__post_init__")  # would be skipped
+    assert not hasattr(SpectralPoint, "__slots__")  # no dict to fill
+    dps = {EL: derive(ChargePair(1.0, 2.0, 1.0, 2.0, 0.7)),
+           NU: derive(ChargePair(1.0, -1.0, 1.0, 3.0, 0.7))}
+    for s in (0, 7, -7):
+        for case, dp_case in dps.items():
+            for dp in (None, dp_case):
+                got = secular_spectrum(n, s, case, dp)
+                want = _sorted_spectrum(n, s, case, dp)
+                for p, q in zip(got, want, strict=True):
+                    assert pickle.dumps(p) == pickle.dumps(q)
+                    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                                 copy.deepcopy(p)):
+                        assert type(twin) is SpectralPoint
+                        assert twin == p and hash(twin) == hash(p)
+                    assert (dataclasses.replace(p, j=99)
+                            == dataclasses.replace(q, j=99))
+                    assert dataclasses.asdict(p) == dataclasses.asdict(q)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        p.kappa = 0.0
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        del p.nodes
+                    assert p == q
 
 
 # ------------------------------------------------------------ quantization
